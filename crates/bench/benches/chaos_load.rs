@@ -21,6 +21,7 @@
 //! recorded value, or if any chaos invariant (typed 504, ≤ 2×
 //! deadline, empty cache, storm convergence) breaks.
 
+use divr_bench::env_flag;
 use divr_core::engine::EngineRequest;
 use divr_core::problem::ObjectiveKind;
 use divr_service::json::{self, Value};
@@ -32,10 +33,6 @@ use std::time::{Duration, Instant};
 /// Same headroom multiplier as the other service benches: absorbs CI
 /// scheduler noise, catches order-of-magnitude regressions.
 const GATE_FACTOR: u64 = 8;
-
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 fn universe_doc(which: usize, n: usize) -> Value {
     let tuples: Vec<String> = (0..n as i64)

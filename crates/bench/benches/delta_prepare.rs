@@ -15,6 +15,7 @@
 //! `BENCH_QUICK=1` for the CI smoke configuration (small `n` — sanity
 //! that the bench builds and runs, not a timing gate).
 
+use divr_bench::env_flag;
 use divr_core::engine::{Engine, EngineRequest, PreparedUniverse};
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
@@ -24,10 +25,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn quick() -> bool {
-    std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// The shared workload family of `engine_scaling` / `BENCH_coreset`:
 /// 2-D integer points, L1 distance on attribute 0, random integer
@@ -59,7 +56,11 @@ fn fmt_ns(ns: u128) -> String {
 }
 
 fn main() {
-    let (n, samples) = if quick() { (1_000, 2) } else { (10_000, 5) };
+    let (n, samples) = if env_flag("BENCH_QUICK") {
+        (1_000, 2)
+    } else {
+        (10_000, 5)
+    };
     let k = 10;
     let (universe, rel) = workload(n + 1);
     let base = universe[..n].to_vec();
@@ -125,7 +126,7 @@ fn main() {
         "{:<40} {:>13.1}x   (acceptance bar at n=10000: >= 20x)",
         "speedup/delta_vs_full", speedup,
     );
-    if !quick() {
+    if !env_flag("BENCH_QUICK") {
         assert!(
             speedup >= 20.0,
             "delta-prepare speedup {speedup:.1}x fell below the 20x acceptance bar"

@@ -8,10 +8,11 @@
 //!
 //! Run with `cargo bench -p divr-bench --bench engine_hotpath`;
 //! set `BENCH_QUICK=1` for the CI smoke configuration (tiny n, one k —
-//! sanity that the bench builds and runs, not a timing gate).
+//! not a timing gate, but the zero-allocation assertion still runs).
 //! Headline numbers are recorded in `BENCH_hotpath.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use divr_bench::env_flag;
 use divr_bench::workloads as w;
 use divr_core::engine::{Engine, EngineRequest, SolveScratch};
 use divr_core::problem::ObjectiveKind;
@@ -57,10 +58,6 @@ fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-fn quick() -> bool {
-    std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 /// The shared workload of `engine_scaling` / `BENCH_coreset`: 2-D
 /// integer points, L1 distance on attribute 0, random integer
 /// relevances — deterministic per `n`.
@@ -95,7 +92,7 @@ fn cold_greedy(sizes: &[usize], ks: &[usize]) {
         let (universe, rel) = workload(n);
         let dis = w::l1_distance();
         for &k in ks {
-            let samples = if quick() { 1 } else { 5 };
+            let samples = if env_flag("BENCH_QUICK") { 1 } else { 5 };
             let mut total = Duration::ZERO;
             for _ in 0..samples {
                 let e = Engine::with_threads(universe.clone(), &rel, &dis, Ratio::new(1, 2), 1);
@@ -135,7 +132,7 @@ fn warm_and_eager(c: &mut Criterion, sizes: &[usize], ks: &[usize]) {
         // The eager baseline rescans O(m²) pairs per round: time it at
         // the sizes where that stays affordable (n = 8000, k = 50 would
         // run ~1.6G pair evaluations per iteration).
-        if n <= 2000 || quick() {
+        if n <= 2000 || env_flag("BENCH_QUICK") {
             let mut g = c.benchmark_group("fms_eager");
             g.sample_size(10);
             g.warm_up_time(Duration::from_millis(20));
@@ -164,8 +161,11 @@ fn warm_and_eager(c: &mut Criterion, sizes: &[usize], ks: &[usize]) {
 
 /// Steady-state allocation counts: a warm engine + scratch serving
 /// through `serve_into` (reused output buffer) must allocate **zero**
-/// times per request; `serve_batch` allocates only the returned answer
-/// vectors. The eager path's per-round churn is printed for contrast.
+/// times per request — asserted for every objective, so a regression on
+/// the hot path fails the bench instead of changing a printout. A batch
+/// served request by request into fresh answer vectors allocates only
+/// those vectors. The eager path's per-round churn is printed for
+/// contrast.
 fn allocation_counts(n: usize, k: usize) {
     let (universe, rel) = workload(n);
     let dis = w::l1_distance();
@@ -178,34 +178,48 @@ fn allocation_counts(n: usize, k: usize) {
     let mut out = Vec::new();
     // Warm everything: preambles, scratch buffers, output capacity.
     for req in &batch {
-        e.serve_into(*req, &mut scratch, &mut out);
+        e.serve_into(*req, &mut scratch, &mut out)
+            .expect("feasible");
     }
     let rounds = 200u64;
     for req in &batch {
         let before = alloc_count();
         for _ in 0..rounds {
-            e.serve_into(*req, &mut scratch, &mut out);
+            e.serve_into(*req, &mut scratch, &mut out)
+                .expect("feasible");
         }
-        let per_request = (alloc_count() - before) as f64 / rounds as f64;
+        let allocs = alloc_count() - before;
         println!(
             "{:<40} {:>14.2} allocs/request (serve_into, warm scratch)",
             format!("allocs/serve_into/{:?}/{n}/k{k}", req.kind),
-            per_request,
+            allocs as f64 / rounds as f64,
+        );
+        assert_eq!(
+            allocs, 0,
+            "serve_into allocated on the warm hot path ({:?}, n={n}, k={k})",
+            req.kind
         );
     }
     let before = alloc_count();
     for _ in 0..rounds {
-        let answers = e.serve_batch_with(&batch, &mut scratch);
+        let answers: Vec<(Ratio, Vec<usize>)> = batch
+            .iter()
+            .map(|&req| {
+                let mut set = Vec::new();
+                let value = e.serve_into(req, &mut scratch, &mut set).expect("feasible");
+                (value, set)
+            })
+            .collect();
         assert_eq!(answers.len(), batch.len());
     }
     let per_batch = (alloc_count() - before) as f64 / rounds as f64;
     println!(
-        "{:<40} {:>14.2} allocs/batch   (serve_batch_with of {} requests; only the returned answer vecs)",
+        "{:<40} {:>14.2} allocs/batch   (serve_into of {} requests into fresh answer vecs)",
         format!("allocs/serve_batch/{n}/k{k}"),
         per_batch,
         batch.len(),
     );
-    let eager_rounds = if quick() { 2 } else { 20 };
+    let eager_rounds = if env_flag("BENCH_QUICK") { 2 } else { 20 };
     let before = alloc_count();
     for _ in 0..eager_rounds {
         e.greedy_max_sum_eager(k);
@@ -219,14 +233,18 @@ fn allocation_counts(n: usize, k: usize) {
 }
 
 fn hotpath(c: &mut Criterion) {
-    let (sizes, ks): (Vec<usize>, Vec<usize>) = if quick() {
+    let (sizes, ks): (Vec<usize>, Vec<usize>) = if env_flag("BENCH_QUICK") {
         (vec![400], vec![5])
     } else {
         (vec![2000, 8000], vec![10, 50])
     };
     cold_greedy(&sizes, &ks);
     warm_and_eager(c, &sizes, &ks);
-    let (alloc_n, alloc_k) = if quick() { (400, 5) } else { (2000, 10) };
+    let (alloc_n, alloc_k) = if env_flag("BENCH_QUICK") {
+        (400, 5)
+    } else {
+        (2000, 10)
+    };
     allocation_counts(alloc_n, alloc_k);
 }
 

@@ -17,7 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use divr_bench::workloads as w;
 use divr_core::approx;
-use divr_core::engine::{Engine, EngineRequest};
+use divr_core::engine::{Engine, EngineRequest, SolveScratch};
 use divr_core::problem::{DiversityProblem, ObjectiveKind};
 use divr_core::ratio::Ratio;
 use divr_core::relevance::TableRelevance;
@@ -84,7 +84,13 @@ fn engine_path(c: &mut Criterion) {
             .flat_map(|kind| [5, 10].map(|k| EngineRequest { kind, k }))
             .collect();
         g.bench_with_input(BenchmarkId::new("serve_batch_6", n), &e, |b, e| {
-            b.iter(|| e.serve_batch(&batch).len())
+            b.iter(|| {
+                let (mut scratch, mut out) = (SolveScratch::new(), Vec::new());
+                batch
+                    .iter()
+                    .filter(|&&r| e.serve_into(r, &mut scratch, &mut out).is_ok())
+                    .count()
+            })
         });
     }
     g.finish();

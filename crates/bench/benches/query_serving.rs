@@ -14,18 +14,16 @@
 //! `BENCH_QUICK=1` for the CI smoke configuration (small `n` — sanity
 //! that the bench builds and runs, not a timing gate).
 
+use divr_bench::env_flag;
 use divr_core::engine::EngineRequest;
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
+use divr_core::Deadline;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Value};
 use divr_server::{QueryFrontDoor, QuerySpec, Registry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn quick() -> bool {
-    std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// `R(x, y)` with `n` rows `(i, i % 50)` — `Q(D)` of the bench query is
 /// all `n` rows, under the full-matrix threshold so the cold path pays
@@ -69,7 +67,7 @@ fn fmt_ns(ns: u128) -> String {
 }
 
 fn main() {
-    let (n, cold_samples, warm_samples) = if quick() {
+    let (n, cold_samples, warm_samples) = if env_flag("BENCH_QUICK") {
         (200i64, 2u32, 50u32)
     } else {
         (2_000i64, 3u32, 500u32)
@@ -92,7 +90,7 @@ fn main() {
         front.register_database("bench", database(n));
         let t0 = Instant::now();
         let answers = front
-            .serve_query("bench", &cold_spec, &requests)
+            .serve_query_deadline("bench", &cold_spec, &requests, Deadline::none())
             .expect("cold serve");
         cold_total += t0.elapsed();
         assert!(answers[0].is_ok(), "cold answer must be feasible");
@@ -109,7 +107,7 @@ fn main() {
     let front = QueryFrontDoor::new(Arc::new(Registry::default()));
     front.register_database("bench", database(n));
     let baseline = front
-        .serve_query("bench", &cold_spec, &requests)
+        .serve_query_deadline("bench", &cold_spec, &requests, Deadline::none())
         .expect("warming serve");
     let (hits0, misses0) = {
         let c = front.registry().stats();
@@ -120,7 +118,7 @@ fn main() {
     for _ in 0..warm_samples {
         let t0 = Instant::now();
         let answers = front
-            .serve_query("bench", &warm_spec, &requests)
+            .serve_query_deadline("bench", &warm_spec, &requests, Deadline::none())
             .expect("warm serve");
         warm_total += t0.elapsed();
         warm_answers = Some(answers);
@@ -151,7 +149,7 @@ fn main() {
         "{:<44} {:>13.1}x   (acceptance bar: >= 10x)",
         "speedup/warm_vs_cold", speedup,
     );
-    if !quick() {
+    if !env_flag("BENCH_QUICK") {
         assert!(
             speedup >= 10.0,
             "warm tableau-key hit speedup {speedup:.1}x fell below the 10x acceptance bar"

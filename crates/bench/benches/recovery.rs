@@ -21,21 +21,31 @@
 //! `BENCH_QUICK=1` for the CI smoke configuration (small `n` — sanity
 //! that the bench builds and runs, not a timing gate).
 
+use divr_bench::env_flag;
 use divr_core::engine::EngineRequest;
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
+use divr_core::Deadline;
 use divr_relquery::Tuple;
-use divr_server::{Durability, QueryFrontDoor, RecoverMode, Registry, UniverseSpec};
+use divr_server::{
+    CheckedAnswer, Durability, QueryFrontDoor, RecoverMode, Registry, TenantBatch, UniverseSpec,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// One request through the registry's serve entry point.
+fn try_serve(registry: &Registry, spec: &UniverseSpec, request: EngineRequest) -> CheckedAnswer {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: vec![request],
+    }];
+    let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+    answers.remove(0).remove(0)
+}
+
 const UNIVERSES: usize = 6;
 const TENANTS: usize = 4;
-
-fn quick() -> bool {
-    std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 fn tmpdir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("divr-bench-recovery-{}", std::process::id()));
@@ -85,7 +95,7 @@ fn first_round(registry: &Arc<Registry>, set: &[UniverseSpec]) -> (u128, TenantA
             .map(|_| {
                 scope.spawn(|| {
                     set.iter()
-                        .map(|spec| registry.try_serve(spec, request()).expect("serve"))
+                        .map(|spec| try_serve(registry, spec, request()).expect("serve"))
                         .collect::<Vec<_>>()
                 })
             })
@@ -108,7 +118,11 @@ fn fmt_ns(ns: u128) -> String {
 }
 
 fn main() {
-    let n = if quick() { 120i64 } else { 600i64 };
+    let n = if env_flag("BENCH_QUICK") {
+        120i64
+    } else {
+        600i64
+    };
     let set = working_set(n);
     let dir = tmpdir();
 
@@ -120,7 +134,7 @@ fn main() {
         let front = QueryFrontDoor::new(Arc::clone(&registry));
         registry.attach_durability(Arc::clone(&d));
         for spec in &set {
-            registry.prepare(spec);
+            registry.try_prepare(spec).unwrap();
         }
         let report = d.checkpoint(&registry, &front).expect("checkpoint");
         assert_eq!(report.records, UNIVERSES);
@@ -186,7 +200,7 @@ fn main() {
         "{:<44} {:>13.1}x   (acceptance bar: >= 10x)",
         "speedup/warm_restart_vs_cold_stampede", speedup,
     );
-    if !quick() {
+    if !env_flag("BENCH_QUICK") {
         assert!(
             speedup >= 10.0,
             "warm-restart speedup {speedup:.1}x fell below the 10x acceptance bar"

@@ -24,6 +24,7 @@ use divr_core::distance::NumericDistance;
 use divr_core::engine::EngineRequest;
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
+use divr_core::Deadline;
 use divr_server::{Registry, RegistryConfig, TenantBatch, UniverseSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,29 +80,32 @@ fn cold_vs_warm(c: &mut Criterion) {
     g.warm_up_time(std::time::Duration::from_millis(100));
     g.measurement_time(std::time::Duration::from_millis(1500));
     let spec0 = spec(0);
-    let batch = mixed_batch();
+    let batch = [TenantBatch {
+        spec: spec0.clone(),
+        requests: mixed_batch(),
+    }];
 
     g.bench_with_input(
         BenchmarkId::new("cold_prepare_serve", N),
-        &spec0,
-        |b, s| {
+        &batch,
+        |b, batch| {
             b.iter(|| {
                 // A fresh registry: the batch pays full preparation.
                 let registry = Registry::new(config());
-                registry.serve_universe_batch(s, &batch).len()
+                registry.serve_mixed_checked_deadline(batch, Deadline::none())[0].len()
             })
         },
     );
 
     let registry = Registry::new(config());
-    registry.prepare(&spec0); // prime the cache
-    g.bench_with_input(BenchmarkId::new("warm_cache", N), &spec0, |b, s| {
-        b.iter(|| registry.serve_universe_batch(s, &batch).len())
+    registry.try_prepare(&spec0).unwrap(); // prime the cache
+    g.bench_with_input(BenchmarkId::new("warm_cache", N), &batch, |b, batch| {
+        b.iter(|| registry.serve_mixed_checked_deadline(batch, Deadline::none())[0].len())
     });
 
     // Mixed-tenant scheduling, warm: four tenants over two universes.
     let spec1 = spec(1);
-    registry.prepare(&spec1);
+    registry.try_prepare(&spec1).unwrap();
     let tenants: Vec<TenantBatch> = (0..4)
         .map(|t| TenantBatch {
             spec: if t % 2 == 0 { spec0.clone() } else { spec1.clone() },
@@ -111,7 +115,13 @@ fn cold_vs_warm(c: &mut Criterion) {
     g.bench_with_input(
         BenchmarkId::new("warm_mixed_tenants", N),
         &tenants,
-        |b, ts| b.iter(|| registry.serve_mixed(ts).len()),
+        |b, ts| {
+            b.iter(|| {
+                registry
+                    .serve_mixed_checked_deadline(ts, Deadline::none())
+                    .len()
+            })
+        },
     );
     g.finish();
 }

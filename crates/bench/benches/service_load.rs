@@ -11,6 +11,7 @@
 //! `BENCH_GATE=1` to fail (exit 1) if any objective's measured p99
 //! regresses past `GATE_FACTOR ×` the recorded p99.
 
+use divr_bench::env_flag;
 use divr_core::engine::EngineRequest;
 use divr_core::problem::ObjectiveKind;
 use divr_service::json::{self, Value};
@@ -22,10 +23,6 @@ use std::time::Instant;
 /// to catch a real regression (an accidental `O(n²)` re-prepare per
 /// frame is orders of magnitude, not 8×).
 const GATE_FACTOR: u64 = 8;
-
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// A distinct universe document per `which`: 2-D integer tuples,
 /// attribute relevance, L1-on-attr-0 distance.

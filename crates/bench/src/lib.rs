@@ -22,6 +22,13 @@ pub mod workloads;
 
 use std::time::{Duration, Instant};
 
+/// Whether the environment variable `name` is set to a truthy value
+/// (non-empty and not `"0"`) — how the benches read `BENCH_QUICK` (CI
+/// smoke sizes) and `BENCH_GATE` (fail on a regression).
+pub fn env_flag(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
 /// Times a closure once, returning its result and the elapsed wall time.
 pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();

@@ -1,11 +1,12 @@
-//! Canonical binary codecs: the byte vocabulary durability speaks.
+//! Canonical binary codecs: the one byte vocabulary that content keys
+//! and durable records share.
 //!
-//! The serving registry already has an injective canonical encoding —
-//! the fingerprint bytes that content-address every cache entry. This
-//! module makes that vocabulary *decodable*: a [`ByteWriter`] that
-//! emits exactly the fingerprint primitives (little-endian fixed-width
+//! A [`ByteWriter`] emits the primitives (little-endian fixed-width
 //! integers, length-prefixed strings, tag-byte-discriminated values,
-//! arity-prefixed tuples) and a [`ByteReader`] that parses them back
+//! arity-prefixed tuples) that the serving registry's injective cache
+//! keys are built from — and the same writer encodes write-ahead-log
+//! and snapshot records, so persisted fingerprint bytes are exactly
+//! live key bytes. A [`ByteReader`] parses them back
 //! without ever panicking — every read returns a typed [`CodecError`]
 //! on truncated or malformed input, because the reader's job is to
 //! survive torn write-ahead-log tails and corrupted snapshots, not to
@@ -72,10 +73,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Accumulates the canonical binary encoding. The byte layout of every
-/// primitive matches the registry's fingerprint encoder, so fingerprint
-/// bytes (oracle configurations in particular) parse with the same
-/// [`ByteReader`].
+/// Accumulates the canonical binary encoding — cache-key fingerprints
+/// and durable records alike, so fingerprint bytes (oracle
+/// configurations in particular) parse with the same [`ByteReader`].
 #[derive(Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
@@ -112,7 +112,7 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// A length or index (as `u64`, matching the fingerprint encoder).
+    /// A length or index (as `u64`, whatever the platform's `usize`).
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }

@@ -809,7 +809,7 @@ impl CoresetEngine {
     /// coreset-local solver rounds and between refinement rounds (same
     /// contract as [`Engine::with_deadline`]): a tripped deadline makes
     /// the `Option` entry points return `None`, and
-    /// [`CoresetEngine::try_serve`] disambiguates that to
+    /// [`CoresetEngine::serve_into`] reports
     /// [`ServeError::DeadlineExceeded`].
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = deadline;
@@ -829,14 +829,6 @@ impl CoresetEngine {
     /// Coreset size `m` — also the largest servable `k`.
     pub fn m(&self) -> usize {
         self.prepared.m()
-    }
-
-    /// Materializes a candidate set's tuples (full-universe indices).
-    pub fn tuples_of(&self, subset: &[usize]) -> Vec<Tuple> {
-        subset
-            .iter()
-            .map(|&i| self.prepared.universe[i].clone())
-            .collect()
     }
 
     /// Exact objective value of a full-universe index set under
@@ -883,56 +875,32 @@ impl CoresetEngine {
         rel_part + p.lambda * dsum / Ratio::int(n as i64 - 1)
     }
 
-    /// Serves one request: solve on the coreset matrix, map back to
-    /// full-universe indices, optionally refine, and return the exact
-    /// full-universe objective value with the set.
+    /// Serves one request on a fresh scratch: solve on the coreset
+    /// matrix, map back to full-universe indices, optionally refine, and
+    /// return the exact full-universe objective value with the set.
     ///
     /// Returns `None` when `k > n` (infeasible) **or** `k > m` (the
     /// coreset budget cannot produce a set that large — size the budget
-    /// via [`CoresetConfig::recommended`]).
+    /// via [`CoresetConfig::recommended`]); [`CoresetEngine::serve_into`]
+    /// tells the two apart.
     pub fn serve(&self, request: EngineRequest) -> Option<(Ratio, Vec<usize>)> {
-        self.serve_with(request, &mut SolveScratch::new())
-    }
-
-    /// [`CoresetEngine::serve`] with a typed error instead of `None`,
-    /// distinguishing the two failure modes the `Option` form folds
-    /// together: `k` beyond the universe (infeasible anywhere) vs. `k`
-    /// beyond the coreset budget (servable after re-preparing with a
-    /// larger budget).
-    pub fn try_serve(&self, request: EngineRequest) -> Result<(Ratio, Vec<usize>), ServeError> {
-        let (n, m) = (self.n(), self.m());
-        if request.k > n {
-            return Err(ServeError::InfeasibleK { k: request.k, n });
-        }
-        if request.k > m {
-            return Err(ServeError::ExceedsCoresetBudget { k: request.k, m, n });
-        }
-        self.serve(request).ok_or_else(|| {
-            if self.deadline.exceeded() {
-                ServeError::DeadlineExceeded
-            } else {
-                ServeError::InfeasibleK { k: request.k, n }
-            }
-        })
-    }
-
-    /// [`CoresetEngine::serve`] against a reusable [`SolveScratch`]
-    /// (shared with the full engine's solvers, which run on the `m × m`
-    /// sub-universe here).
-    pub fn serve_with(
-        &self,
-        request: EngineRequest,
-        scratch: &mut SolveScratch,
-    ) -> Option<(Ratio, Vec<usize>)> {
         let mut out = Vec::new();
-        let value = self.serve_into(request, scratch, &mut out)?;
+        let value = self
+            .serve_into(request, &mut SolveScratch::new(), &mut out)
+            .ok()?;
         Some((value, out))
     }
 
-    /// The allocation-free serving form: the coreset-local solve runs
-    /// in the scratch, representatives are mapped back to full-universe
-    /// indices **in place** in `out`, and only then is the exact
-    /// full-universe value computed. Refinement rounds (if configured)
+    /// The serving form: the coreset-local solve runs in the scratch
+    /// (shared with the full engine's solvers, which run on the `m × m`
+    /// sub-universe here), representatives are mapped back to
+    /// full-universe indices **in place** in `out`, and only then is the
+    /// exact full-universe value computed. Failures are diagnosed in
+    /// order: [`ServeError::InfeasibleK`] when `k > n` (infeasible
+    /// anywhere), [`ServeError::ExceedsCoresetBudget`] when `k > m`
+    /// (servable after re-preparing with a larger budget), then
+    /// [`ServeError::DeadlineExceeded`] when the deadline aborted the
+    /// solve or a refinement round. Refinement rounds (if configured)
     /// still allocate their own float caches — they are an explicitly
     /// opted-in `O(n·k)`-per-round polish, not the steady-state path.
     pub fn serve_into(
@@ -940,15 +908,19 @@ impl CoresetEngine {
         request: EngineRequest,
         scratch: &mut SolveScratch,
         out: &mut Vec<usize>,
-    ) -> Option<Ratio> {
+    ) -> Result<Ratio, ServeError> {
         let p = &*self.prepared;
-        if request.k > p.m() {
-            return None;
+        let (k, n, m) = (request.k, p.n(), p.m());
+        if k > n {
+            return Err(ServeError::InfeasibleK { k, n });
+        }
+        if k > m {
+            return Err(ServeError::ExceedsCoresetBudget { k, m, n });
         }
         let sub_engine =
             Engine::from_prepared(p.sub.clone(), self.threads).with_deadline(self.deadline);
-        if !sub_engine.solve_into(request.kind, request.k, scratch, out) {
-            return None;
+        if !sub_engine.solve_into(request.kind, k, scratch, out) {
+            return Err(sub_engine.aborted(k, n));
         }
         for local in out.iter_mut() {
             *local = p.coreset.indices[*local];
@@ -961,29 +933,14 @@ impl CoresetEngine {
                 // request that missed its deadline gets the typed
                 // error, not a silently less-refined answer.
                 if self.deadline.exceeded() {
-                    return None;
+                    return Err(ServeError::DeadlineExceeded);
                 }
                 if !self.refine_round(request.kind, out) {
                     break;
                 }
             }
         }
-        Some(self.objective_exact_full(request.kind, out))
-    }
-
-    /// Serves a whole batch against the shared coreset state, reusing
-    /// one scratch across all requests.
-    pub fn serve_batch(&self, requests: &[EngineRequest]) -> Vec<Option<(Ratio, Vec<usize>)>> {
-        self.serve_batch_with(requests, &mut SolveScratch::new())
-    }
-
-    /// [`CoresetEngine::serve_batch`] against a caller-owned scratch.
-    pub fn serve_batch_with(
-        &self,
-        requests: &[EngineRequest],
-        scratch: &mut SolveScratch,
-    ) -> Vec<Option<(Ratio, Vec<usize>)>> {
-        requests.iter().map(|&r| self.serve_with(r, scratch)).collect()
+        Ok(self.objective_exact_full(request.kind, out))
     }
 
     /// One full-universe refinement round for `F_MS`/`F_MM`: scan every
@@ -1414,7 +1371,7 @@ mod tests {
     }
 
     #[test]
-    fn try_serve_distinguishes_budget_from_universe() {
+    fn serve_into_distinguishes_budget_from_universe() {
         let cs = CoresetEngine::new(
             line_universe(30),
             &REL,
@@ -1422,15 +1379,17 @@ mod tests {
             Ratio::ONE,
             &CoresetConfig::with_budget(8),
         );
+        let (mut scratch, mut out) = (SolveScratch::new(), Vec::new());
+        let mut serve = |kind, k| cs.serve_into(EngineRequest { kind, k }, &mut scratch, &mut out);
         assert_eq!(
-            cs.try_serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 9 }),
+            serve(ObjectiveKind::MaxSum, 9),
             Err(ServeError::ExceedsCoresetBudget { k: 9, m: 8, n: 30 })
         );
         assert_eq!(
-            cs.try_serve(EngineRequest { kind: ObjectiveKind::MaxMin, k: 31 }),
+            serve(ObjectiveKind::MaxMin, 31),
             Err(ServeError::InfeasibleK { k: 31, n: 30 })
         );
-        assert!(cs.try_serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 8 }).is_ok());
+        assert!(serve(ObjectiveKind::MaxSum, 8).is_ok());
     }
 
     #[test]

@@ -664,11 +664,9 @@ impl PartialOrd for HeapEntry {
 /// membership marks, lazy-heap storage, tie/pair buffers, the
 /// nearest-selected cache, and the mono sort buffers.
 ///
-/// Thread one instance through [`Engine::serve_with`] /
-/// [`Engine::serve_into`] (or let [`Engine::serve_batch`] do it) and
-/// steady-state serving performs **zero heap allocation per request**
-/// beyond the returned answer set itself — and none at all through
-/// [`Engine::serve_into`] once the caller reuses the output vector.
+/// Thread one instance through [`Engine::serve_into`] with a reused
+/// output vector and steady-state serving performs **zero heap
+/// allocation per request**.
 /// The buffers grow to the largest universe served and are then reused;
 /// a scratch is cheap to create (all buffers start empty) and is not
 /// tied to any particular engine or universe.
@@ -706,7 +704,7 @@ pub struct EngineRequest {
 /// `Option`-returning solvers map every variant to `None`
 /// (infeasibility is not an application error for them); callers that
 /// need to distinguish — a registry returning an HTTP status, a test
-/// asserting the non-panic contract — use the `try_serve` forms.
+/// asserting the non-panic contract — use [`Engine::serve_into`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeError {
     /// `k` exceeds the universe size: no candidate set of size `k`
@@ -1577,7 +1575,7 @@ impl<'a> Engine<'a> {
     /// Attaches a cooperative [`Deadline`], checked between solver
     /// rounds: once it trips, the in-flight solve is abandoned at the
     /// next round boundary and the `Option` entry points return `None`
-    /// ([`Engine::try_serve`] disambiguates to
+    /// ([`Engine::serve_into`] reports
     /// [`ServeError::DeadlineExceeded`]). With the default
     /// [`Deadline::none`] (or any deadline that never trips) results
     /// are bit-identical to an engine without one.
@@ -1630,14 +1628,6 @@ impl<'a> Engine<'a> {
     /// used for tie verification, not in inner loops).
     pub fn dist_of(&self, i: usize, j: usize) -> Ratio {
         self.prepared.dist_of(i, j)
-    }
-
-    /// Materializes a candidate set's tuples.
-    pub fn tuples_of(&self, subset: &[usize]) -> Vec<Tuple> {
-        subset
-            .iter()
-            .map(|&i| self.prepared.universe[i].clone())
-            .collect()
     }
 
     /// Exact objective value `F(U)` of a candidate set, matching
@@ -2526,69 +2516,62 @@ impl<'a> Engine<'a> {
         (value_exact, current)
     }
 
-    /// Serves one request: routes to the objective's solver
-    /// (`F_MS` → greedy, `F_MM` → GMM, `F_mono` → exact top-k) and
-    /// returns the **exact** objective value with the chosen indices.
+    /// Serves one request on a fresh scratch: routes to the objective's
+    /// solver (`F_MS` → greedy, `F_MM` → GMM, `F_mono` → exact top-k)
+    /// and returns the **exact** objective value with the chosen
+    /// indices, or `None` when the request has no answer (see
+    /// [`Engine::serve_into`] for the typed diagnosis).
     pub fn serve(&self, request: EngineRequest) -> Option<(Ratio, Vec<usize>)> {
-        self.serve_with(request, &mut SolveScratch::new())
-    }
-
-    /// [`Engine::serve`] with a typed error instead of `None`: a
-    /// request over a full matrix fails by asking for more items than
-    /// the universe holds — a live concern once
-    /// [`PreparedUniverse::remove_tuple`] can shrink a warm universe
-    /// below a tenant's `k` — or by its [`Deadline`] tripping
-    /// mid-solve. The two are disambiguated by re-checking the
-    /// deadline: it is monotone, so once a solver round saw it
-    /// exceeded, it stays exceeded here.
-    pub fn try_serve(&self, request: EngineRequest) -> Result<(Ratio, Vec<usize>), ServeError> {
-        let n = self.n();
-        if request.k > n {
-            return Err(ServeError::InfeasibleK { k: request.k, n });
-        }
-        self.serve(request).ok_or_else(|| {
-            if self.deadline.exceeded() {
-                ServeError::DeadlineExceeded
-            } else {
-                ServeError::InfeasibleK { k: request.k, n }
-            }
-        })
-    }
-
-    /// [`Engine::serve`] against a reusable [`SolveScratch`]: after the
-    /// scratch's buffers have warmed up, the only allocation left per
-    /// request is the returned answer vector.
-    pub fn serve_with(
-        &self,
-        request: EngineRequest,
-        scratch: &mut SolveScratch,
-    ) -> Option<(Ratio, Vec<usize>)> {
         let mut out = Vec::new();
-        let value = self.serve_into(request, scratch, &mut out)?;
+        let value = self
+            .serve_into(request, &mut SolveScratch::new(), &mut out)
+            .ok()?;
         Some((value, out))
     }
 
-    /// The fully allocation-free serving form: solves into the caller's
-    /// output buffer and returns the exact objective value. In steady
-    /// state (warm scratch, reused `out`, memoized preambles, and a
-    /// thread budget that keeps the argmax scans inline) a request
-    /// performs **zero** heap allocations — the property
-    /// `BENCH_hotpath.json` pins with a counting allocator.
+    /// The serving form: solves into the caller's output buffer and
+    /// returns the exact objective value, or a typed diagnosis of why
+    /// there is none — [`ServeError::InfeasibleK`] when `k > n` (a live
+    /// concern once [`PreparedUniverse::remove_tuple`] can shrink a warm
+    /// universe below a tenant's `k`), checked before any solving, then
+    /// [`ServeError::DeadlineExceeded`] when the engine's [`Deadline`]
+    /// aborted the solve. In steady state (warm scratch, reused `out`,
+    /// memoized preambles, and a thread budget that keeps the argmax
+    /// scans inline) a request performs **zero** heap allocations — the
+    /// property `BENCH_hotpath.json` pins with a counting allocator.
     pub fn serve_into(
         &self,
         request: EngineRequest,
         scratch: &mut SolveScratch,
         out: &mut Vec<usize>,
-    ) -> Option<Ratio> {
-        self.solve_into(request.kind, request.k, scratch, out)
-            .then(|| self.objective_exact(request.kind, out))
+    ) -> Result<Ratio, ServeError> {
+        let n = self.n();
+        if request.k > n {
+            return Err(ServeError::InfeasibleK { k: request.k, n });
+        }
+        if !self.solve_into(request.kind, request.k, scratch, out) {
+            return Err(self.aborted(request.k, n));
+        }
+        Ok(self.objective_exact(request.kind, out))
+    }
+
+    /// Why a solver that was handed a feasible `k` (against a universe
+    /// of `n` items) gave up: the deadline — monotone, so once a solver
+    /// round saw it exceeded it stays exceeded here — or else no
+    /// candidate survived its argmax scan.
+    pub(crate) fn aborted(&self, k: usize, n: usize) -> ServeError {
+        if self.deadline.exceeded() {
+            ServeError::DeadlineExceeded
+        } else {
+            ServeError::InfeasibleK { k, n }
+        }
     }
 
     /// Routes an objective to its solver, writing the answer set into
     /// `out` — the single dispatch site shared by [`Engine::serve_into`]
     /// and the coreset engine (which solves on its `m × m` sub-universe
     /// and re-scores under full-universe semantics itself). Returns
-    /// `false` when `k > n`.
+    /// `false` when `k > n` or the deadline aborted the solve.
     pub(crate) fn solve_into(
         &self,
         kind: ObjectiveKind,
@@ -2601,23 +2584,6 @@ impl<'a> Engine<'a> {
             ObjectiveKind::MaxMin => self.gmm_max_min_into(k, scratch, out),
             ObjectiveKind::Mono => self.mono_top_k_into(k, scratch, out),
         }
-    }
-
-    /// Serves a whole batch against the shared matrix, reusing one
-    /// scratch across all requests.
-    pub fn serve_batch(&self, requests: &[EngineRequest]) -> Vec<Option<(Ratio, Vec<usize>)>> {
-        self.serve_batch_with(requests, &mut SolveScratch::new())
-    }
-
-    /// [`Engine::serve_batch`] against a caller-owned scratch: in
-    /// steady state the only allocations left are the returned answer
-    /// vectors themselves.
-    pub fn serve_batch_with(
-        &self,
-        requests: &[EngineRequest],
-        scratch: &mut SolveScratch,
-    ) -> Vec<Option<(Ratio, Vec<usize>)>> {
-        requests.iter().map(|&r| self.serve_with(r, scratch)).collect()
     }
 }
 
@@ -2799,7 +2765,15 @@ mod tests {
             .into_iter()
             .flat_map(|kind| (1..=4).map(move |k| EngineRequest { kind, k }))
             .collect();
-        let answers = e.serve_batch(&reqs);
+        let mut scratch = SolveScratch::new();
+        let answers: Vec<Option<(Ratio, Vec<usize>)>> = reqs
+            .iter()
+            .map(|&r| {
+                let mut out = Vec::new();
+                let v = e.serve_into(r, &mut scratch, &mut out).ok()?;
+                Some((v, out))
+            })
+            .collect();
         assert_eq!(answers.len(), 12);
         for (req, ans) in reqs.iter().zip(&answers) {
             let (v, set) = ans.as_ref().expect("feasible");
@@ -2969,18 +2943,20 @@ mod tests {
     }
 
     #[test]
-    fn try_serve_reports_infeasible_k_after_shrink() {
+    fn serve_into_reports_infeasible_k_after_shrink() {
         let lam = Ratio::new(1, 2);
         let mut prepared =
             PreparedUniverse::build_shared(line_universe(4), &REL, Arc::new(DIS), lam, 1);
         prepared.remove_tuple(0).unwrap();
         let e = Engine::from_prepared(Arc::new(prepared), 1);
         let req = EngineRequest { kind: ObjectiveKind::MaxSum, k: 4 };
+        let (mut scratch, mut out) = (SolveScratch::new(), Vec::new());
         assert_eq!(
-            e.try_serve(req),
+            e.serve_into(req, &mut scratch, &mut out),
             Err(ServeError::InfeasibleK { k: 4, n: 3 })
         );
-        assert!(e.try_serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 3 }).is_ok());
+        let req = EngineRequest { kind: ObjectiveKind::MaxSum, k: 3 };
+        assert!(e.serve_into(req, &mut scratch, &mut out).is_ok());
     }
 
     #[test]

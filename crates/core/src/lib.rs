@@ -89,8 +89,8 @@ pub use engine::{
     ServeError, SharedPrepared, SolveScratch,
 };
 pub use pipeline::{
-    PipelineError, PipelineResult, QueryDiversification, ServedAnswer, ServingEngine,
-    SharedDistance, SharedRelevance,
+    CheckedAnswer, PipelineError, PipelineResult, PreparedVariant, QueryDiversification,
+    ServedAnswer, SharedDistance, SharedRelevance,
 };
 pub use problem::{DiversityProblem, ObjectiveKind};
 pub use ratio::Ratio;

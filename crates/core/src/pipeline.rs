@@ -9,7 +9,10 @@
 //! Section 9 searches).
 
 use crate::constraints::Constraint;
-use crate::coreset::{CoresetConfig, CoresetEngine, PreparedCoreset, CORESET_AUTO_THRESHOLD};
+use crate::coreset::{
+    CoresetConfig, CoresetEngine, PreparedCoreset, SharedCoreset, CORESET_AUTO_THRESHOLD,
+};
+use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::{
     default_threads, Engine, EngineRequest, PreparedUniverse, ServeError, SharedPrepared,
@@ -21,6 +24,7 @@ use crate::relevance::Relevance;
 use crate::solvers::{constrained, counting, exact, mono};
 use divr_relquery::{Database, Query, Tuple};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// A boxed relevance function usable from worker threads (the pipeline
@@ -67,89 +71,138 @@ pub type PipelineResult<T> = Result<T, PipelineError>;
 /// or `None` when the request was infeasible (`|Q(D)| < k`).
 pub type ServedAnswer = Option<(Ratio, Vec<Tuple>)>;
 
-/// The serving engine a pipeline prepares: either the full-matrix
-/// [`Engine`] (small universes, answers match the `Ratio`-path
-/// heuristics exactly) or the sub-quadratic [`CoresetEngine`] (large
-/// universes, answers re-scored exactly against the full universe; see
+/// One served answer with a typed diagnosis instead of `None`: the
+/// exact objective value and the chosen universe indices, or why the
+/// request has none ([`ServeError::InfeasibleK`],
+/// [`ServeError::ExceedsCoresetBudget`], [`ServeError::DeadlineExceeded`],
+/// [`ServeError::WorkerPanicked`], or a refused universe's
+/// [`ServeError::NonFiniteScore`]) — the form a network front-end maps
+/// to wire status codes.
+pub type CheckedAnswer = Result<(Ratio, Vec<usize>), ServeError>;
+
+/// Prepared serving state for one universe: the full `n × n`
+/// [`PreparedUniverse`] (small universes; answers match the `Ratio`-path
+/// heuristics exactly) or the sub-quadratic [`PreparedCoreset`] (large
+/// universes; answers re-scored exactly against the full universe, see
 /// [`crate::coreset`] for the quality contract).
 /// [`QueryDiversification::prepare_adaptive`] picks the variant by
-/// universe size ([`CORESET_AUTO_THRESHOLD`]).
-pub enum ServingEngine {
-    /// The exact-tie-fallback engine over the full `n × n` matrix.
-    Full(Engine<'static>),
-    /// The coreset path: `O(n·m)` preparation, `m × m` matrix.
-    Coreset(CoresetEngine),
+/// universe size ([`CORESET_AUTO_THRESHOLD`]); the serving registry
+/// caches it. Cloning is `O(1)` (both arms are `Arc`s).
+#[derive(Clone)]
+pub enum PreparedVariant {
+    /// Full-matrix prepared state (exact-tie-fallback engine).
+    Full(SharedPrepared),
+    /// Coreset prepared state (`m × m` matrix, `O(n)` bookkeeping).
+    Coreset(SharedCoreset),
 }
 
-impl ServingEngine {
+impl PreparedVariant {
     /// Universe size `n`.
     pub fn n(&self) -> usize {
         match self {
-            ServingEngine::Full(e) => e.n(),
-            ServingEngine::Coreset(e) => e.n(),
+            PreparedVariant::Full(p) => p.n(),
+            PreparedVariant::Coreset(p) => p.n(),
         }
     }
 
-    /// Whether the coreset path was chosen.
+    /// Whether this is the coreset variant.
     pub fn is_coreset(&self) -> bool {
-        matches!(self, ServingEngine::Coreset(_))
+        matches!(self, PreparedVariant::Coreset(_))
     }
 
-    /// Serves one request (exact value + full-universe indices).
-    pub fn serve(&self, request: EngineRequest) -> Option<(Ratio, Vec<usize>)> {
-        self.serve_with(request, &mut SolveScratch::new())
-    }
-
-    /// [`ServingEngine::serve`] with a typed error instead of `None` —
-    /// both variants report *why* a request is unservable
-    /// ([`ServeError::InfeasibleK`] everywhere; the coreset path adds
-    /// [`ServeError::ExceedsCoresetBudget`] when `k` fits the universe
-    /// but not the representative budget).
-    pub fn try_serve(&self, request: EngineRequest) -> Result<(Ratio, Vec<usize>), ServeError> {
+    /// The full-matrix prepared state, if that is what was built.
+    pub fn as_full(&self) -> Option<&SharedPrepared> {
         match self {
-            ServingEngine::Full(e) => e.try_serve(request),
-            ServingEngine::Coreset(e) => e.try_serve(request),
+            PreparedVariant::Full(p) => Some(p),
+            PreparedVariant::Coreset(_) => None,
         }
     }
 
-    /// [`ServingEngine::serve`] against a reusable [`SolveScratch`] —
-    /// the same scratch works for both variants (the coreset engine
-    /// runs the identical solvers on its `m × m` sub-universe).
-    pub fn serve_with(
+    /// The coreset prepared state, if that is what was built.
+    pub fn as_coreset(&self) -> Option<&SharedCoreset> {
+        match self {
+            PreparedVariant::Full(_) => None,
+            PreparedVariant::Coreset(p) => Some(p),
+        }
+    }
+
+    /// The materialized universe, in the order answers index it.
+    pub fn universe(&self) -> &[Tuple] {
+        match self {
+            PreparedVariant::Full(p) => p.universe(),
+            PreparedVariant::Coreset(p) => p.universe(),
+        }
+    }
+
+    /// Approximate heap bytes this entry pins — `n²`-dominated for the
+    /// full variant, `m² + O(n)` for the coreset variant. The quantity
+    /// the serving cache's byte budget meters.
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            PreparedVariant::Full(p) => p.approx_bytes(),
+            PreparedVariant::Coreset(p) => p.approx_bytes(),
+        }
+    }
+
+    /// Validates every cached float in this prepared state (relevance
+    /// caches and the distance matrix — full `n × n` or coreset
+    /// `m × m`): `Ok` iff none is `NaN`/`±∞`. Checked prepare paths run
+    /// this once per build so non-finite oracle output is a typed
+    /// refusal ([`ServeError::NonFiniteScore`]) instead of a silently
+    /// mis-selected answer set.
+    pub fn check_finite(&self) -> Result<(), ServeError> {
+        match self {
+            PreparedVariant::Full(p) => p.check_finite(),
+            PreparedVariant::Coreset(p) => p.check_finite(),
+        }
+    }
+
+    /// Serves one request against this prepared state with `threads`
+    /// solver workers under a cooperative [`Deadline`], reusing the
+    /// caller's [`SolveScratch`] (one per worker; a single scratch
+    /// serves full and coreset variants, and any mix of universes,
+    /// interchangeably). Failures are diagnosed by the engines'
+    /// `serve_into` ([`Engine::serve_into`],
+    /// [`CoresetEngine::serve_into`]).
+    ///
+    /// This is the per-request fault boundary: a panic mid-solve
+    /// (typically a panicking user-supplied oracle) is caught here and
+    /// answered with [`ServeError::WorkerPanicked`], and the scratch —
+    /// possibly torn mid-unwind — is replaced with a fresh one, so every
+    /// later request through it stays exact.
+    pub fn serve(
         &self,
+        threads: usize,
         request: EngineRequest,
         scratch: &mut SolveScratch,
-    ) -> Option<(Ratio, Vec<usize>)> {
-        match self {
-            ServingEngine::Full(e) => e.serve_with(request, scratch),
-            ServingEngine::Coreset(e) => e.serve_with(request, scratch),
-        }
-    }
-
-    /// Serves a whole batch against the shared prepared state, reusing
-    /// one scratch across all requests.
-    pub fn serve_batch(&self, requests: &[EngineRequest]) -> Vec<Option<(Ratio, Vec<usize>)>> {
-        let mut scratch = SolveScratch::new();
-        requests
-            .iter()
-            .map(|&r| self.serve_with(r, &mut scratch))
-            .collect()
-    }
-
-    /// Materializes a candidate set's tuples.
-    pub fn tuples_of(&self, subset: &[usize]) -> Vec<Tuple> {
-        match self {
-            ServingEngine::Full(e) => e.tuples_of(subset),
-            ServingEngine::Coreset(e) => e.tuples_of(subset),
+        deadline: Deadline,
+    ) -> CheckedAnswer {
+        let mut out = Vec::new();
+        let attempt = catch_unwind(AssertUnwindSafe(|| match self {
+            PreparedVariant::Full(p) => Engine::from_prepared(p.clone(), threads)
+                .with_deadline(deadline)
+                .serve_into(request, scratch, &mut out),
+            PreparedVariant::Coreset(p) => CoresetEngine::from_prepared(p.clone(), threads)
+                .with_deadline(deadline)
+                .serve_into(request, scratch, &mut out),
+        }));
+        match attempt {
+            Ok(value) => value.map(|v| (v, out)),
+            Err(_) => {
+                *scratch = SolveScratch::new();
+                Err(ServeError::WorkerPanicked)
+            }
         }
     }
 }
 
-impl fmt::Debug for ServingEngine {
+impl fmt::Debug for PreparedVariant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServingEngine::Full(e) => f.debug_tuple("ServingEngine::Full").field(e).finish(),
-            ServingEngine::Coreset(e) => f.debug_tuple("ServingEngine::Coreset").field(e).finish(),
+            PreparedVariant::Full(p) => f.debug_tuple("PreparedVariant::Full").field(p).finish(),
+            PreparedVariant::Coreset(p) => {
+                f.debug_tuple("PreparedVariant::Coreset").field(p).finish()
+            }
         }
     }
 }
@@ -271,38 +324,34 @@ impl QueryDiversification {
         ))
     }
 
-    /// Prepares the right engine for the universe's size: the
-    /// full-matrix [`Engine`] when `|Q(D)| ≤` [`CORESET_AUTO_THRESHOLD`],
-    /// otherwise the coreset path sized for result sizes up to `max_k`
-    /// ([`CoresetConfig::recommended`]). This is the auto-escalation
-    /// rule behind [`QueryDiversification::serve_batch`].
-    pub fn prepare_adaptive(&self, max_k: usize) -> PipelineResult<ServingEngine> {
+    /// Prepares the right state for the universe's size: the
+    /// full-matrix [`PreparedUniverse`] when `|Q(D)| ≤`
+    /// [`CORESET_AUTO_THRESHOLD`], otherwise the coreset path sized for
+    /// result sizes up to `max_k` ([`CoresetConfig::recommended`]). This
+    /// is the auto-escalation rule behind
+    /// [`QueryDiversification::serve_batch`].
+    pub fn prepare_adaptive(&self, max_k: usize) -> PipelineResult<PreparedVariant> {
         let result = self.query.eval(&self.db)?;
         let universe: Vec<Tuple> = result.tuples().to_vec();
         if universe.len() <= CORESET_AUTO_THRESHOLD {
-            let prepared = Arc::new(PreparedUniverse::build_shared(
+            let prepared = PreparedUniverse::build_shared(
                 universe,
                 &*self.rel,
                 self.dis.clone(),
                 self.lambda,
                 default_threads(),
-            ));
-            return Ok(ServingEngine::Full(Engine::from_prepared(
-                prepared,
-                default_threads(),
-            )));
+            );
+            return Ok(PreparedVariant::Full(Arc::new(prepared)));
         }
         let config = CoresetConfig::recommended(max_k.max(self.k));
-        Ok(ServingEngine::Coreset(CoresetEngine::from_prepared(
-            Arc::new(PreparedCoreset::build_shared(
-                universe,
-                &*self.rel,
-                self.dis.clone(),
-                self.lambda,
-                &config,
-            )),
-            config.threads,
-        )))
+        let prepared = PreparedCoreset::build_shared(
+            universe,
+            &*self.rel,
+            self.dis.clone(),
+            self.lambda,
+            &config,
+        );
+        Ok(PreparedVariant::Coreset(Arc::new(prepared)))
     }
 
     /// Serves a whole batch of `(objective, k)` requests: prepare once,
@@ -355,11 +404,17 @@ impl QueryDiversification {
         requests: &[EngineRequest],
     ) -> PipelineResult<Vec<ServedAnswer>> {
         let max_k = requests.iter().map(|r| r.k).max().unwrap_or(self.k);
-        let engine = self.prepare_adaptive(max_k)?;
-        Ok(engine
-            .serve_batch(requests)
-            .into_iter()
-            .map(|ans| ans.map(|(v, set)| (v, engine.tuples_of(&set))))
+        let prepared = self.prepare_adaptive(max_k)?;
+        let universe = prepared.universe();
+        let mut scratch = SolveScratch::new();
+        Ok(requests
+            .iter()
+            .map(|&r| {
+                let (v, set) = prepared
+                    .serve(default_threads(), r, &mut scratch, Deadline::none())
+                    .ok()?;
+                Some((v, set.iter().map(|&i| universe[i].clone()).collect()))
+            })
             .collect())
     }
 

@@ -20,9 +20,9 @@
 //!   byte-budgeted LRU ([`cache`]): a hit skips relevance evaluation
 //!   and matrix construction entirely and goes straight to the
 //!   parallel solve rounds;
-//! * [`Registry::serve_mixed`] schedules interleaved batches from many
-//!   tenants over work-stealing worker threads, preparing each
-//!   distinct universe exactly once per batch;
+//! * [`Registry::serve_mixed_checked_deadline`] schedules interleaved
+//!   batches from many tenants over work-stealing worker threads,
+//!   preparing each distinct universe exactly once per batch;
 //! * universes too large for any `n × n` matrix opt into **coreset
 //!   mode** ([`UniverseSpec::with_coreset`]): preparation selects
 //!   `m ≪ n` representatives in `O(n·m)` ([`divr_core::coreset`]),
@@ -62,19 +62,22 @@
 //!     Arc::new(NumericDistance { attr: 0, fallback: Ratio::ZERO }),
 //!     Ratio::new(1, 2),
 //! );
-//! let answers = registry.serve_mixed(&[
-//!     TenantBatch {
-//!         spec: catalog.clone(),
-//!         requests: vec![
-//!             EngineRequest { kind: ObjectiveKind::MaxSum, k: 4 },
-//!             EngineRequest { kind: ObjectiveKind::Mono, k: 6 },
-//!         ],
-//!     },
-//!     TenantBatch {
-//!         spec: catalog.clone(),
-//!         requests: vec![EngineRequest { kind: ObjectiveKind::MaxMin, k: 3 }],
-//!     },
-//! ]);
+//! let answers = registry.serve_mixed_checked_deadline(
+//!     &[
+//!         TenantBatch {
+//!             spec: catalog.clone(),
+//!             requests: vec![
+//!                 EngineRequest { kind: ObjectiveKind::MaxSum, k: 4 },
+//!                 EngineRequest { kind: ObjectiveKind::Mono, k: 6 },
+//!             ],
+//!         },
+//!         TenantBatch {
+//!             spec: catalog.clone(),
+//!             requests: vec![EngineRequest { kind: ObjectiveKind::MaxMin, k: 3 }],
+//!         },
+//!     ],
+//!     Deadline::none(),
+//! );
 //! assert_eq!(answers[0].len(), 2);
 //! assert_eq!(answers[1][0].as_ref().unwrap().1.len(), 3);
 //! // One universe content ⇒ one preparation, despite two tenants.
@@ -89,12 +92,12 @@ pub mod registry;
 pub mod spec;
 
 pub use cache::{CacheStats, PreparedCache};
-pub use fingerprint::{FingerprintEncoder, Fingerprintable, UniverseKey};
+pub use fingerprint::{Fingerprintable, UniverseKey};
 pub use persist::{
     CheckpointReport, Durability, DurabilityStats, RecoverMode, RecoverReport,
 };
 pub use query::{QueryError, QueryFrontDoor, QuerySpec};
-pub use registry::{Answer, CheckedAnswer, Registry, RegistryConfig, RegistryStats, TenantBatch};
+pub use registry::{CheckedAnswer, Registry, RegistryConfig, RegistryStats, TenantBatch};
 pub use spec::{
     CoresetSpec, PreparedVariant, ServableDistance, ServableRelevance, UniverseSpec,
 };

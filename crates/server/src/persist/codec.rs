@@ -18,7 +18,6 @@
 //! record and counts it, and the write-ahead log never contains a
 //! record that recovery could not resolve.
 
-use crate::fingerprint::FingerprintEncoder;
 use crate::query::QuerySpec;
 use crate::spec::{CoresetSpec, ServableDistance, ServableRelevance, UniverseSpec};
 use divr_core::distance::{ConstantDistance, HammingDistance, NumericDistance, TableDistance};
@@ -37,10 +36,10 @@ use super::{Record, WarmKind, WarmQueryRecord};
 pub struct Unpersistable;
 
 /// The fingerprint bytes of one oracle — the persisted form.
-fn fingerprint_bytes(f: impl FnOnce(&mut FingerprintEncoder)) -> Vec<u8> {
-    let mut enc = FingerprintEncoder::new();
+fn fingerprint_bytes(f: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
+    let mut enc = ByteWriter::new();
     f(&mut enc);
-    enc.into_key().bytes().to_vec()
+    enc.into_bytes()
 }
 
 /// Rebuilds a relevance oracle from its fingerprint bytes. The
@@ -572,8 +571,8 @@ mod tests {
             }
         }
         impl Fingerprintable for Alien {
-            fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-                enc.write_tag("rel:alien");
+            fn fingerprint(&self, enc: &mut ByteWriter) {
+                enc.write_str("rel:alien");
             }
         }
         let spec = UniverseSpec::new(tuples(3), Arc::new(Alien), dis(), Ratio::new(1, 2));

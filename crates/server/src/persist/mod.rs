@@ -188,7 +188,7 @@ impl Book {
                 );
             }
             Record::Delta { base_key, op } => {
-                let key = UniverseKey::from_bytes(base_key);
+                let key = UniverseKey::new(base_key.clone());
                 let Some(mut entry) = self.universes.remove(&key) else {
                     return;
                 };

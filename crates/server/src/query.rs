@@ -36,12 +36,12 @@
 //! its delta log extended, exactly like [`Registry::apply_delta`].
 
 use crate::cache::PreparedCache;
-use crate::fingerprint::{FingerprintEncoder, UniverseKey};
+use crate::fingerprint::UniverseKey;
 use crate::registry::{CheckedAnswer, Registry};
 use crate::spec::{CoresetSpec, OracleAdapter, PreparedVariant, ServableDistance, ServableRelevance};
 use divr_core::coreset::{CoresetConfig, PreparedCoreset, CORESET_AUTO_THRESHOLD};
 use divr_core::engine::{DeltaOp, EngineRequest, PreparedUniverse, ServeError, SolveScratch};
-use divr_core::{Deadline, Ratio};
+use divr_core::{ByteWriter, Deadline, Ratio};
 use divr_relquery::{delta_results, stream_query, CanonicalQuery, Database, Query, Tuple, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -327,37 +327,37 @@ impl QueryFrontDoor {
     }
 
     fn key_of(db_name: &str, dbst: &DbState, spec: &QuerySpec) -> UniverseKey {
-        let mut enc = FingerprintEncoder::new();
-        enc.write_tag("query");
+        let mut enc = ByteWriter::new();
+        enc.write_str("query");
         enc.write_str(db_name);
-        enc.write_tag("canon");
+        enc.write_str("canon");
         enc.write_bytes(spec.canon.bytes());
         // Only relations the query reads: a version bump elsewhere must
         // not cool this entry.
-        enc.write_tag("rels");
+        enc.write_str("rels");
         enc.write_usize(spec.relations.len());
         for r in &spec.relations {
             enc.write_str(r);
             enc.write_usize(*dbst.rel_versions.get(r).unwrap_or(&0) as usize);
         }
-        enc.write_tag("rel");
+        enc.write_str("rel");
         spec.rel.fingerprint(&mut enc);
-        enc.write_tag("dis");
+        enc.write_str("dis");
         spec.dis.fingerprint(&mut enc);
-        enc.write_tag("lambda");
+        enc.write_str("lambda");
         enc.write_ratio(spec.lambda);
         match spec.coreset {
             None => {
-                enc.write_tag("mode:auto");
+                enc.write_str("mode:auto");
                 enc.write_usize(spec.auto_config(1).budget);
             }
             Some(cs) => {
-                enc.write_tag("mode:coreset");
+                enc.write_str("mode:coreset");
                 enc.write_usize(cs.budget);
                 enc.write_usize(cs.refine_rounds);
             }
         }
-        enc.into_key()
+        UniverseKey::new(enc.into_bytes())
     }
 
     /// Evaluates and prepares `spec` against `db` — the miss path.
@@ -454,24 +454,14 @@ impl QueryFrontDoor {
     }
 
     /// Serves a batch of requests for one query — evaluate + prepare on
-    /// a semantic-key miss, straight to the solve on a hit — with the
-    /// registry's fault isolation: per-request `catch_unwind`, typed
-    /// infeasibility diagnoses, one reused scratch.
-    pub fn serve_query(
-        &self,
-        db: &str,
-        spec: &QuerySpec,
-        requests: &[EngineRequest],
-    ) -> Result<Vec<CheckedAnswer>, QueryError> {
-        self.serve_query_deadline(db, spec, requests, Deadline::none())
-    }
-
-    /// [`QueryFrontDoor::serve_query`] under a cooperative [`Deadline`]
-    /// spanning evaluation, preparation, and the solves: a miss that
-    /// cannot finish in time fails with
+    /// a semantic-key miss, straight to the solve on a hit — under a
+    /// cooperative [`Deadline`] spanning evaluation, preparation, and
+    /// the solves: a miss that cannot finish in time fails with
     /// [`ServeError::DeadlineExceeded`] and caches **nothing** (clean
     /// retry), a warm hit still serves, and each solve checks the
-    /// deadline between rounds.
+    /// deadline between rounds. Per-request fault isolation and typed
+    /// diagnoses come from [`PreparedVariant::serve`], with one scratch
+    /// reused across the batch.
     pub fn serve_query_deadline(
         &self,
         db: &str,
@@ -520,27 +510,10 @@ impl QueryFrontDoor {
             }
         }
         let mut scratch = SolveScratch::new();
-        let mut answers = Vec::with_capacity(requests.len());
-        for &request in requests {
-            let attempt = {
-                let s = &mut scratch;
-                catch_unwind(AssertUnwindSafe(|| {
-                    prepared.serve_with_deadline(threads, request, s, deadline)
-                }))
-            };
-            answers.push(match attempt {
-                Ok(Some(answer)) => Ok(answer),
-                // Deadline aborts surface as `None` too; the deadline
-                // is monotone, so re-checking disambiguates race-free.
-                Ok(None) if deadline.exceeded() => Err(ServeError::DeadlineExceeded),
-                Ok(None) => Err(prepared.classify_infeasible(request.k)),
-                Err(_) => {
-                    scratch = SolveScratch::new();
-                    Err(ServeError::WorkerPanicked)
-                }
-            });
-        }
-        Ok(answers)
+        Ok(requests
+            .iter()
+            .map(|&request| prepared.serve(threads, request, &mut scratch, deadline))
+            .collect())
     }
 
     /// The universe sequence the front door is serving for `spec` right
@@ -556,15 +529,10 @@ impl QueryFrontDoor {
             .get(db)
             .ok_or_else(|| QueryError::UnknownDatabase(db.to_string()))?;
         let key = Self::key_of(db, dbst, spec);
-        let prepared = self
-            .cache()
-            .get_or_try_prepare_with(&key, || {
-                Self::build_prepared(&dbst.db, spec, threads, Deadline::none())
-            })?;
-        Ok(match &prepared {
-            PreparedVariant::Full(p) => p.universe().to_vec(),
-            PreparedVariant::Coreset(p) => p.universe().to_vec(),
-        })
+        let prepared = self.cache().get_or_try_prepare_with(&key, || {
+            Self::build_prepared(&dbst.db, spec, threads, Deadline::none())
+        })?;
+        Ok(prepared.universe().to_vec())
     }
 
     /// Inserts one tuple into a base relation and **delta-repairs every
@@ -948,7 +916,7 @@ impl QueryFrontDoor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::RegistryConfig;
+    use crate::registry::{RegistryConfig, TenantBatch};
     use crate::spec::UniverseSpec;
     use divr_core::distance::NumericDistance;
     use divr_core::problem::ObjectiveKind;
@@ -967,6 +935,20 @@ mod tests {
             attr: 0,
             fallback: Ratio::ZERO,
         })
+    }
+
+    /// One request through the registry's serve entry point.
+    fn try_serve(
+        registry: &Registry,
+        spec: &UniverseSpec,
+        request: EngineRequest,
+    ) -> CheckedAnswer {
+        let batch = [TenantBatch {
+            spec: spec.clone(),
+            requests: vec![request],
+        }];
+        let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+        answers.remove(0).remove(0)
     }
 
     fn front() -> QueryFrontDoor {
@@ -1004,7 +986,7 @@ mod tests {
         let f = front();
         f.register_database("main", db());
         let q = spec("Q(x, z) :- R(x, y), S(y, z)");
-        let answers = f.serve_query("main", &q, &reqs()).unwrap();
+        let answers = f.serve_query_deadline("main", &q, &reqs(), Deadline::none()).unwrap();
         // Oracle: materialize Q(D) by hand (eager eval = stream order)
         // and serve through the registry's universe path.
         let universe = divr_relquery::eval::eval_query(&db(), q.query())
@@ -1013,7 +995,7 @@ mod tests {
         let uspec = UniverseSpec::new(universe, rel(), dis(), Ratio::new(1, 2));
         let oracle = Registry::default();
         for (a, request) in answers.iter().zip(reqs()) {
-            let expect = oracle.try_serve(&uspec, request).unwrap();
+            let expect = try_serve(&oracle, &uspec, request).unwrap();
             assert_eq!(a.as_ref().unwrap(), &expect);
         }
     }
@@ -1033,9 +1015,12 @@ mod tests {
             .collect();
         assert_eq!(keys[0], keys[1]);
         assert_eq!(keys[0], keys[2]);
-        let expect: Vec<CheckedAnswer> = f.serve_query("main", &variants[0], &reqs()).unwrap();
+        let expect: Vec<CheckedAnswer> = f
+            .serve_query_deadline("main", &variants[0], &reqs(), Deadline::none())
+            .unwrap();
         for v in &variants[1..] {
-            assert_eq!(f.serve_query("main", v, &reqs()).unwrap(), expect);
+            let got = f.serve_query_deadline("main", v, &reqs(), Deadline::none());
+            assert_eq!(got.unwrap(), expect);
         }
         let stats = f.registry().stats();
         assert_eq!(stats.misses, 1);
@@ -1051,7 +1036,7 @@ mod tests {
         f.register_database("main", db());
         let q = spec("Q(x) :- R(x, y), y > 100");
         assert_eq!(
-            f.serve_query("main", &q, &reqs()),
+            f.serve_query_deadline("main", &q, &reqs(), Deadline::none()),
             Err(QueryError::EmptyResult)
         );
         // Nothing cached for the refused query.
@@ -1062,13 +1047,13 @@ mod tests {
     fn unknown_database_and_unknown_relation_are_typed() {
         let f = front();
         assert!(matches!(
-            f.serve_query("nope", &spec("Q(x) :- R(x, y)"), &reqs()),
+            f.serve_query_deadline("nope", &spec("Q(x) :- R(x, y)"), &reqs(), Deadline::none()),
             Err(QueryError::UnknownDatabase(_))
         ));
         f.register_database("main", db());
         let q = spec("Q(x) :- Missing(x, y)");
         assert!(matches!(
-            f.serve_query("main", &q, &reqs()),
+            f.serve_query_deadline("main", &q, &reqs(), Deadline::none()),
             Err(QueryError::Query(divr_relquery::Error::UnknownRelation(_)))
         ));
     }
@@ -1078,7 +1063,7 @@ mod tests {
         let f = front();
         f.register_database("main", db());
         let q = spec("Q(x, z) :- R(x, y), S(y, z)");
-        f.serve_query("main", &q, &reqs()).unwrap();
+        f.serve_query_deadline("main", &q, &reqs(), Deadline::none()).unwrap();
         assert_eq!(f.registry().stats().misses, 1);
 
         // Insert a joining R-tuple: the warm entry must migrate, not
@@ -1086,7 +1071,7 @@ mod tests {
         assert!(f
             .insert_base_tuple("main", "R", vec![Value::int(100), Value::int(3)])
             .unwrap());
-        let answers = f.serve_query("main", &q, &reqs()).unwrap();
+        let answers = f.serve_query_deadline("main", &q, &reqs(), Deadline::none()).unwrap();
         let stats = f.registry().stats();
         assert_eq!(stats.misses, 1, "delta repair must not cold-prepare");
 
@@ -1097,7 +1082,7 @@ mod tests {
         let uspec = UniverseSpec::new(universe, rel(), dis(), Ratio::new(1, 2));
         let oracle = Registry::default();
         for (a, request) in answers.iter().zip(reqs()) {
-            let expect = oracle.try_serve(&uspec, request).unwrap();
+            let expect = try_serve(&oracle, &uspec, request).unwrap();
             assert_eq!(a.as_ref().unwrap(), &expect);
         }
 
@@ -1114,7 +1099,7 @@ mod tests {
         let f = front();
         f.register_database("main", db());
         let q = spec("Q(x, z) :- R(x, y), S(y, z)");
-        f.serve_query("main", &q, &reqs()).unwrap();
+        f.serve_query_deadline("main", &q, &reqs(), Deadline::none()).unwrap();
         assert_eq!(f.registry().stats().misses, 1);
 
         // Remove an R-tuple that joins: the warm entry must migrate
@@ -1122,7 +1107,7 @@ mod tests {
         assert!(f
             .remove_base_tuple("main", "R", vec![Value::int(5), Value::int(5)])
             .unwrap());
-        let answers = f.serve_query("main", &q, &reqs()).unwrap();
+        let answers = f.serve_query_deadline("main", &q, &reqs(), Deadline::none()).unwrap();
         let stats = f.registry().stats();
         assert_eq!(stats.misses, 1, "delta repair must not cold-prepare");
 
@@ -1146,7 +1131,7 @@ mod tests {
         let uspec = UniverseSpec::new(universe, rel(), dis(), Ratio::new(1, 2));
         let oracle = Registry::default();
         for (a, request) in answers.iter().zip(reqs()) {
-            let expect = oracle.try_serve(&uspec, request).unwrap();
+            let expect = try_serve(&oracle, &uspec, request).unwrap();
             assert_eq!(a.as_ref().unwrap(), &expect);
         }
 
@@ -1180,7 +1165,7 @@ mod tests {
             Ratio::new(1, 2),
         )
         .unwrap();
-        f.serve_query("main", &q, &[reqs()[0]]).unwrap();
+        f.serve_query_deadline("main", &q, &[reqs()[0]], Deadline::none()).unwrap();
         let before = f.universe_of("main", &q).unwrap();
         // (0, 0) removed; (3, 0), (6, 0), (9, 0) still derive (0).
         assert!(f
@@ -1217,11 +1202,11 @@ mod tests {
         f.register_database("main", d);
         let q = spec("Q(x, z) :- R(x, y), S(y, z)");
         let key = f.key_for("main", &q).unwrap();
-        f.serve_query("main", &q, &reqs()).unwrap();
+        f.serve_query_deadline("main", &q, &reqs(), Deadline::none()).unwrap();
         f.insert_base_tuple("main", "T", vec![Value::int(9)]).unwrap();
         // Key unchanged, entry still warm.
         assert_eq!(f.key_for("main", &q).unwrap(), key);
-        f.serve_query("main", &q, &[reqs()[0]]).unwrap();
+        f.serve_query_deadline("main", &q, &[reqs()[0]], Deadline::none()).unwrap();
         assert_eq!(f.registry().stats().misses, 1);
     }
 }

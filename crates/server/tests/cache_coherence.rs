@@ -23,9 +23,24 @@ use divr_core::relevance::TableRelevance;
 use divr_core::Ratio;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple};
-use divr_server::{QueryFrontDoor, QuerySpec, Registry, RegistryConfig, UniverseSpec};
+use divr_server::{QueryFrontDoor, QuerySpec, Registry, RegistryConfig, TenantBatch, UniverseSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// A batch of requests against one universe through the registry's
+/// serve entry point, diagnoses dropped.
+fn serve_universe_batch(
+    registry: &Registry,
+    spec: &UniverseSpec,
+    requests: &[EngineRequest],
+) -> Vec<Option<(Ratio, Vec<usize>)>> {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: requests.to_vec(),
+    }];
+    let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+    answers.remove(0).into_iter().map(Result::ok).collect()
+}
 
 #[derive(Debug, Clone)]
 struct RawContent {
@@ -293,8 +308,8 @@ proptest! {
             .into_iter()
             .map(|kind| EngineRequest { kind, k: 2 })
             .collect();
-        let got_a = front.serve_query("db", &spec_a, &requests).unwrap();
-        let got_b = front.serve_query("db", &spec_b, &requests).unwrap();
+        let got_a = front.serve_query_deadline("db", &spec_a, &requests, Deadline::none()).unwrap();
+        let got_b = front.serve_query_deadline("db", &spec_b, &requests, Deadline::none()).unwrap();
         for (a, b) in got_a.iter().zip(&got_b) {
             // Full relations keep Q(D) at ≥ 3 tuples, so k = 2 is
             // always feasible.
@@ -401,23 +416,23 @@ proptest! {
             .map(|kind| EngineRequest { kind, k })
             .collect();
         // First lifetime of A.
-        let first_prepared = registry.prepare(&spec_a).as_full().unwrap().clone();
+        let first_prepared = registry.try_prepare(&spec_a).unwrap().as_full().unwrap().clone();
         let first_matrix: Vec<f64> = (0..first_prepared.n())
             .flat_map(|i| first_prepared.matrix().row(i).to_vec())
             .collect();
-        let first_answers = registry.serve_universe_batch(&spec_a, &requests);
+        let first_answers = serve_universe_batch(&registry, &spec_a, &requests);
         // Insert B: evicts A under the 1-byte budget.
-        registry.prepare(&spec_b);
+        registry.try_prepare(&spec_b).unwrap();
         prop_assert!(!registry.is_cached(&spec_a));
         prop_assert!(registry.stats().evictions >= 1);
         // Second lifetime of A: rebuilt, not resurrected.
-        let second_prepared = registry.prepare(&spec_a).as_full().unwrap().clone();
+        let second_prepared = registry.try_prepare(&spec_a).unwrap().as_full().unwrap().clone();
         prop_assert!(!Arc::ptr_eq(&first_prepared, &second_prepared));
         let second_matrix: Vec<f64> = (0..second_prepared.n())
             .flat_map(|i| second_prepared.matrix().row(i).to_vec())
             .collect();
         prop_assert_eq!(first_matrix, second_matrix, "rebuild changed the matrix");
-        let second_answers = registry.serve_universe_batch(&spec_a, &requests);
+        let second_answers = serve_universe_batch(&registry, &spec_a, &requests);
         prop_assert_eq!(first_answers, second_answers, "rebuild changed served answers");
     }
 }

@@ -11,8 +11,26 @@ use divr_core::prelude::*;
 use divr_core::relevance::TableRelevance;
 use divr_core::Ratio;
 use divr_relquery::Tuple;
-use divr_server::{Answer, Registry, RegistryConfig, UniverseSpec};
+use divr_server::{CheckedAnswer, Registry, RegistryConfig, TenantBatch, UniverseSpec};
 use std::sync::Arc;
+
+/// One served answer, or `None` when the request has none.
+type MaybeAnswer = Option<(Ratio, Vec<usize>)>;
+
+/// One request through the registry's serve entry point.
+fn try_serve(registry: &Registry, spec: &UniverseSpec, request: EngineRequest) -> CheckedAnswer {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: vec![request],
+    }];
+    let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+    answers.remove(0).remove(0)
+}
+
+/// [`try_serve`] with the diagnosis dropped.
+fn serve(registry: &Registry, spec: &UniverseSpec, request: EngineRequest) -> MaybeAnswer {
+    try_serve(registry, spec, request).ok()
+}
 
 const THREADS: usize = 4;
 const ITERATIONS: usize = 30;
@@ -46,7 +64,7 @@ fn requests() -> Vec<EngineRequest> {
         .collect()
 }
 
-fn hammer(registry: &Registry, oracle: &[(UniverseSpec, Vec<Answer>)]) {
+fn hammer(registry: &Registry, oracle: &[(UniverseSpec, Vec<MaybeAnswer>)]) {
     let reqs = requests();
     let reqs = &reqs;
     std::thread::scope(|scope| {
@@ -58,7 +76,7 @@ fn hammer(registry: &Registry, oracle: &[(UniverseSpec, Vec<Answer>)]) {
                     let which = (t * 7 + i) % oracle.len();
                     let (spec, expected) = &oracle[which];
                     let r = (t + i * 3) % reqs.len();
-                    let got = registry.serve(spec, reqs[r]);
+                    let got = serve(registry, spec, reqs[r]);
                     assert_eq!(
                         &got, &expected[r],
                         "thread {t} iteration {i}: universe {which} request {r} diverged"
@@ -70,7 +88,7 @@ fn hammer(registry: &Registry, oracle: &[(UniverseSpec, Vec<Answer>)]) {
 }
 
 /// Sequential oracle answers for every (universe, request) pair.
-fn oracle() -> Vec<(UniverseSpec, Vec<Answer>)> {
+fn oracle() -> Vec<(UniverseSpec, Vec<MaybeAnswer>)> {
     let reqs = requests();
     (0..4)
         .map(|which| {

@@ -8,12 +8,35 @@ use divr_core::distance::{Distance, NumericDistance};
 use divr_core::engine::{EngineRequest, ScoreSource, ServeError};
 use divr_core::problem::ObjectiveKind;
 use divr_core::relevance::AttributeRelevance;
-use divr_core::Ratio;
+use divr_core::{ByteWriter, Deadline, Ratio};
 use divr_relquery::Tuple;
-use divr_server::{
-    FingerprintEncoder, Fingerprintable, Registry, TenantBatch, UniverseSpec,
-};
+use divr_server::{CheckedAnswer, Fingerprintable, Registry, TenantBatch, UniverseSpec};
 use std::sync::Arc;
+
+/// One request through the registry's serve entry point.
+fn try_serve(registry: &Registry, spec: &UniverseSpec, request: EngineRequest) -> CheckedAnswer {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: vec![request],
+    }];
+    let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+    answers.remove(0).remove(0)
+}
+
+/// A batch of requests against one universe through the registry's
+/// serve entry point, diagnoses dropped.
+fn serve_universe_batch(
+    registry: &Registry,
+    spec: &UniverseSpec,
+    requests: &[EngineRequest],
+) -> Vec<Option<(Ratio, Vec<usize>)>> {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: requests.to_vec(),
+    }];
+    let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+    answers.remove(0).into_iter().map(Result::ok).collect()
+}
 
 /// Panics on the first off-diagonal pair: the prepare-phase worker
 /// computing this universe's matrix dies mid-batch.
@@ -31,8 +54,8 @@ impl Distance for PanickingDistance {
 }
 
 impl Fingerprintable for PanickingDistance {
-    fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("test:panicking-distance");
+    fn fingerprint(&self, enc: &mut ByteWriter) {
+        enc.write_str("test:panicking-distance");
     }
 }
 
@@ -59,8 +82,8 @@ impl Distance for NanDistance {
 }
 
 impl Fingerprintable for NanDistance {
-    fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("test:nan-distance");
+    fn fingerprint(&self, enc: &mut ByteWriter) {
+        enc.write_str("test:nan-distance");
     }
 }
 
@@ -127,7 +150,7 @@ fn panicking_tenant_is_isolated_bit_identically() {
             requests: requests(),
         },
     ];
-    let results = registry.serve_mixed_checked(&batch);
+    let results = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
     assert_eq!(results.len(), batch.len());
 
     // The hostile tenants get typed errors on every request…
@@ -152,7 +175,7 @@ fn panicking_tenant_is_isolated_bit_identically() {
     let oracle = Registry::default();
     for tenant in [0usize, 2, 4] {
         for (answer, request) in results[tenant].iter().zip(requests()) {
-            let expected = oracle.try_serve(&batch[tenant].spec, request).unwrap();
+            let expected = try_serve(&oracle, &batch[tenant].spec, request).unwrap();
             assert_eq!(
                 answer.as_ref().expect("healthy tenant must be served"),
                 &expected,
@@ -165,7 +188,8 @@ fn panicking_tenant_is_isolated_bit_identically() {
     assert_eq!(registry.stats().entries, 3);
 
     // The same registry keeps serving after the faults.
-    let after = registry.try_serve(
+    let after = try_serve(
+        &registry,
         &healthy_spec(0),
         EngineRequest {
             kind: ObjectiveKind::MaxMin,
@@ -182,25 +206,26 @@ fn repeated_faults_never_wear_the_registry_down() {
         kind: ObjectiveKind::MaxSum,
         k: 3,
     };
-    let expected = Registry::default()
-        .try_serve(&healthy_spec(7), request)
-        .unwrap();
+    let expected = try_serve(&Registry::default(), &healthy_spec(7), request).unwrap();
     for round in 0..5 {
         let hostile: Arc<dyn divr_server::ServableDistance> = if round % 2 == 0 {
             Arc::new(PanickingDistance)
         } else {
             Arc::new(NanDistance)
         };
-        let results = registry.serve_mixed_checked(&[
-            TenantBatch {
-                spec: hostile_spec(hostile),
-                requests: vec![request],
-            },
-            TenantBatch {
-                spec: healthy_spec(7),
-                requests: vec![request],
-            },
-        ]);
+        let results = registry.serve_mixed_checked_deadline(
+            &[
+                TenantBatch {
+                    spec: hostile_spec(hostile),
+                    requests: vec![request],
+                },
+                TenantBatch {
+                    spec: healthy_spec(7),
+                    requests: vec![request],
+                },
+            ],
+            Deadline::none(),
+        );
         assert!(results[0][0].is_err(), "round {round}");
         assert_eq!(results[1][0].as_ref().unwrap(), &expected, "round {round}");
     }
@@ -212,25 +237,28 @@ fn empty_batches_never_touch_the_cache() {
     let spec = healthy_spec(3);
 
     // Empty request slice: no prepare, no cache traffic at all.
-    assert!(registry.serve_universe_batch(&spec, &[]).is_empty());
+    assert!(serve_universe_batch(&registry, &spec, &[]).is_empty());
     let stats = registry.stats();
     assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
 
     // A zero-request tenant in a mixed batch contributes no prepare
     // either — only the tenant that actually asks pays.
-    let results = registry.serve_mixed_checked(&[
-        TenantBatch {
-            spec: spec.clone(),
-            requests: Vec::new(),
-        },
-        TenantBatch {
-            spec: healthy_spec(4),
-            requests: vec![EngineRequest {
-                kind: ObjectiveKind::Mono,
-                k: 2,
-            }],
-        },
-    ]);
+    let results = registry.serve_mixed_checked_deadline(
+        &[
+            TenantBatch {
+                spec: spec.clone(),
+                requests: Vec::new(),
+            },
+            TenantBatch {
+                spec: healthy_spec(4),
+                requests: vec![EngineRequest {
+                    kind: ObjectiveKind::Mono,
+                    k: 2,
+                }],
+            },
+        ],
+        Deadline::none(),
+    );
     assert!(results[0].is_empty());
     assert!(results[1][0].is_ok());
     let stats = registry.stats();

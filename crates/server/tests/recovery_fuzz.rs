@@ -25,11 +25,22 @@ use divr_core::prelude::*;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple, Value};
 use divr_server::{
-    Durability, QueryFrontDoor, QuerySpec, RecoverMode, Registry, UniverseSpec,
+    CheckedAnswer, Durability, QueryFrontDoor, QuerySpec, RecoverMode, Registry, TenantBatch,
+    UniverseSpec,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::{fs, io::Write as _};
+
+/// One request through the registry's serve entry point.
+fn try_serve(registry: &Registry, spec: &UniverseSpec, request: EngineRequest) -> CheckedAnswer {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: vec![request],
+    }];
+    let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+    answers.remove(0).remove(0)
+}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -123,7 +134,9 @@ fn build_tape(dir: &Path) {
 
     front.register_database("main", base_db());
     let q = qspec();
-    front.serve_query("main", &q, &reqs()).unwrap();
+    front
+        .serve_query_deadline("main", &q, &reqs(), Deadline::none())
+        .unwrap();
     front
         .insert_base_tuple("main", "R", vec![Value::int(100), Value::int(2)])
         .unwrap();
@@ -141,7 +154,7 @@ fn build_tape(dir: &Path) {
 
     // A universe-keyed entry and a delta migration ride the same WAL.
     let us = uspec();
-    registry.prepare(&us);
+    registry.try_prepare(&us).unwrap();
     let us2 = registry
         .apply_delta(&us, &DeltaOp::Insert(Tuple::ints([99, 3])))
         .unwrap();
@@ -161,7 +174,7 @@ fn recover_and_check(dir: &Path) -> bool {
     if !front.has_database("main") {
         return false;
     }
-    let answers = match front.serve_query("main", &q, &reqs()) {
+    let answers = match front.serve_query_deadline("main", &q, &reqs(), Deadline::none()) {
         Ok(answers) => answers,
         // A recovered prefix may legitimately refuse (e.g. Q(D) = ∅ is
         // impossible on this tape, but typed refusals are allowed —
@@ -191,7 +204,7 @@ fn recover_and_check(dir: &Path) -> bool {
     let us = UniverseSpec::new(sequence, rel(), dis(), Ratio::new(1, 2));
     let oracle = Registry::default();
     for (answer, request) in answers.iter().zip(reqs()) {
-        let expect = oracle.try_serve(&us, request).unwrap();
+        let expect = try_serve(&oracle, &us, request).unwrap();
         assert_eq!(
             answer.as_ref().unwrap(),
             &expect,
@@ -251,7 +264,7 @@ fn clean_close_recovers_the_full_tape_warm() {
     // universe is exactly the final tape state.
     let q = qspec();
     let misses_before = registry.stats().misses;
-    let answers = front.serve_query("main", &q, &reqs()).unwrap();
+    let answers = front.serve_query_deadline("main", &q, &reqs(), Deadline::none()).unwrap();
     assert_eq!(
         registry.stats().misses,
         misses_before,
@@ -271,7 +284,7 @@ fn clean_close_recovers_the_full_tape_warm() {
     for (answer, request) in answers.iter().zip(reqs()) {
         assert_eq!(
             answer.as_ref().unwrap(),
-            &oracle.try_serve(&us, request).unwrap()
+            &try_serve(&oracle, &us, request).unwrap()
         );
     }
     let _ = fs::remove_dir_all(&golden);
@@ -372,7 +385,7 @@ fn lazy_recovery_registers_databases_but_stays_cold() {
     // First serve cold-prepares — and the answer still matches the
     // final tape state.
     let q = qspec();
-    let answers = front.serve_query("main", &q, &reqs()).unwrap();
+    let answers = front.serve_query_deadline("main", &q, &reqs(), Deadline::none()).unwrap();
     assert_eq!(registry.stats().misses, 1);
     let mut universe = front.universe_of("main", &q).unwrap();
     universe.sort();

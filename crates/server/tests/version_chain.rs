@@ -21,14 +21,33 @@
 //! a real migration bug, not float noise.
 
 use divr_core::distance::TableDistance;
-use divr_core::engine::{DeltaError, DeltaOp, Engine, EngineRequest};
+use divr_core::engine::{DeltaError, DeltaOp, Engine, EngineRequest, SolveScratch};
 use divr_core::prelude::*;
 use divr_core::relevance::TableRelevance;
 use divr_core::Ratio;
 use divr_relquery::Tuple;
-use divr_server::{Registry, RegistryConfig, UniverseSpec};
+use divr_server::{CheckedAnswer, Registry, RegistryConfig, TenantBatch, UniverseSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// One request through the registry's serve entry point.
+fn try_serve(registry: &Registry, spec: &UniverseSpec, request: EngineRequest) -> CheckedAnswer {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: vec![request],
+    }];
+    let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+    answers.remove(0).remove(0)
+}
+
+/// [`try_serve`] with the diagnosis dropped.
+fn serve(
+    registry: &Registry,
+    spec: &UniverseSpec,
+    request: EngineRequest,
+) -> Option<(Ratio, Vec<usize>)> {
+    try_serve(registry, spec, request).ok()
+}
 
 /// Tuples held in reserve for insertion during churn.
 const POOL: usize = 4;
@@ -170,7 +189,7 @@ proptest! {
             workers: 1,
             solve_threads: 1,
         });
-        registry.prepare(&base);
+        registry.try_prepare(&base).unwrap();
         prop_assert_eq!(registry.version_of(&base), Some(0));
 
         let mut spec = base;
@@ -188,8 +207,8 @@ proptest! {
             prop_assert!(registry.is_cached(&flat));
 
             // Bit-identical matrix and answers vs a cold prepare.
-            let migrated = registry.prepare(&flat);
-            let cold = flat.prepare_variant(1);
+            let migrated = registry.try_prepare(&flat).unwrap();
+            let cold = flat.try_prepare_variant(1, Deadline::none()).unwrap();
             prop_assert_eq!(
                 matrix_bits_full(&migrated),
                 matrix_bits_full(&cold),
@@ -199,7 +218,7 @@ proptest! {
             let engine = Engine::from_prepared(cold.as_full().unwrap().clone(), 1);
             for req in requests_for(ids.len()) {
                 prop_assert_eq!(
-                    registry.serve(&spec, req),
+                    serve(&registry, &spec, req),
                     engine.serve(req),
                     "step {} {:?}: answers diverged",
                     step,
@@ -223,14 +242,14 @@ proptest! {
             workers: 1,
             solve_threads: 1,
         });
-        registry.prepare(&base);
+        registry.try_prepare(&base).unwrap();
 
         let mut spec = base;
         let mut log_bytes = 0usize;
         for (op, _) in realize_ops(&raw) {
             spec = registry.apply_delta(&spec, &op).expect("ops realized in range");
             log_bytes += op.approx_bytes();
-            let resident = registry.prepare(&spec); // hit: same Arc the entry holds
+            let resident = registry.try_prepare(&spec).unwrap(); // hit: same Arc the entry holds
             prop_assert_eq!(
                 registry.stats().bytes,
                 resident.approx_bytes() + log_bytes,
@@ -254,7 +273,7 @@ proptest! {
             workers: 1,
             solve_threads: 1,
         });
-        registry.prepare(&base);
+        registry.try_prepare(&base).unwrap();
         let mut spec = base;
         let mut steps = 0u64;
         for (op, _) in realize_ops(&raw) {
@@ -265,21 +284,21 @@ proptest! {
         prop_assert_eq!(registry.version_of(&spec), Some(steps));
         let warm_answers: Vec<_> = requests_for(spec.universe().len())
             .into_iter()
-            .map(|req| registry.serve(&spec, req))
+            .map(|req| serve(&registry, &spec, req))
             .collect();
 
         // Insert an unrelated universe: the 1-byte budget evicts the chain.
         let other_scores = scores_of(&other);
         let other_spec = spec_of(&other_scores, &(0..other.n0).collect::<Vec<_>>());
         prop_assume!(other_spec.key() != spec.key());
-        registry.prepare(&other_spec);
+        registry.try_prepare(&other_spec).unwrap();
         prop_assert!(!registry.is_cached(&spec));
         prop_assert_eq!(registry.version_of(&spec), None);
 
         // Rebuild: cold, version 0, same answers.
         let cold_answers: Vec<_> = requests_for(spec.universe().len())
             .into_iter()
-            .map(|req| registry.serve(&spec, req))
+            .map(|req| serve(&registry, &spec, req))
             .collect();
         prop_assert_eq!(registry.version_of(&spec), Some(0));
         prop_assert_eq!(warm_answers, cold_answers, "rebuild diverged from the chain");
@@ -307,7 +326,7 @@ fn cold_apply_delta_touches_no_cache_state() {
     assert!(!registry.is_cached(&mutated));
     assert_eq!(registry.version_of(&mutated), None);
     assert_eq!(registry.stats().entries, 0);
-    registry.prepare(&mutated);
+    registry.try_prepare(&mutated).unwrap();
     assert_eq!(registry.version_of(&mutated), Some(0));
     assert_eq!(registry.stats().misses, 1);
 }
@@ -326,7 +345,7 @@ fn bad_remove_is_typed_and_leaves_entry_alone() {
     let scores = scores_of(&raw);
     let base = spec_of(&scores, &[0, 1, 2, 3]);
     let registry = Registry::default();
-    registry.prepare(&base);
+    registry.try_prepare(&base).unwrap();
     assert_eq!(
         registry.apply_delta(&base, &DeltaOp::Remove(4)).err(),
         Some(DeltaError::IndexOutOfRange { index: 4, n: 4 })
@@ -353,7 +372,7 @@ fn coreset_chain_reconverges_and_shrink_is_typed() {
     let base = spec_of(&scores, &(0..8).collect::<Vec<_>>())
         .with_coreset(CoresetSpec::with_budget(5));
     let registry = Registry::default();
-    registry.prepare(&base);
+    registry.try_prepare(&base).unwrap();
 
     let mutated = registry
         .apply_delta(&base, &DeltaOp::Remove(0))
@@ -361,21 +380,18 @@ fn coreset_chain_reconverges_and_shrink_is_typed() {
     assert_eq!(registry.version_of(&mutated), Some(1));
     // Cold-equivalence: the migrated coreset entry answers exactly like
     // a fresh prepare of the mutated spec.
-    let cold = mutated.prepare_variant(1);
+    let cold = mutated.try_prepare_variant(1, Deadline::none()).unwrap();
     for req in requests_for(5) {
         assert_eq!(
-            registry.serve(&mutated, req),
-            cold.try_serve(1, req).ok(),
+            serve(&registry, &mutated, req),
+            cold.serve(1, req, &mut SolveScratch::new(), Deadline::none()).ok(),
             "coreset migration diverged on {req:?}"
         );
     }
     // k above the coreset budget but within the universe: budget error;
     // shrink the universe below k: infeasible error.
     assert_eq!(
-        registry.try_serve(
-            &mutated,
-            EngineRequest { kind: ObjectiveKind::MaxSum, k: 6 }
-        ),
+        try_serve(&registry, &mutated, EngineRequest { kind: ObjectiveKind::MaxSum, k: 6 }),
         Err(ServeError::ExceedsCoresetBudget { k: 6, m: 5, n: 7 })
     );
     let mut spec = mutated;
@@ -383,10 +399,7 @@ fn coreset_chain_reconverges_and_shrink_is_typed() {
         spec = registry.apply_delta(&spec, &DeltaOp::Remove(0)).unwrap();
     }
     assert_eq!(
-        registry.try_serve(
-            &spec,
-            EngineRequest { kind: ObjectiveKind::MaxSum, k: 4 }
-        ),
+        try_serve(&registry, &spec, EngineRequest { kind: ObjectiveKind::MaxSum, k: 4 }),
         Err(ServeError::InfeasibleK { k: 4, n: 3 })
     );
 }

@@ -233,12 +233,12 @@ pub fn estimate_prepared_bytes(n: usize, coreset_budget: Option<usize>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use divr_server::FingerprintEncoder;
+    use divr_core::ByteWriter;
 
     fn key(tag: &str) -> UniverseKey {
-        let mut enc = FingerprintEncoder::new();
-        enc.write_tag(tag);
-        enc.into_key()
+        let mut enc = ByteWriter::new();
+        enc.write_str(tag);
+        UniverseKey::new(enc.into_bytes())
     }
 
     #[test]

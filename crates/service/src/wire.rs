@@ -19,11 +19,10 @@ use divr_core::distance::{ConstantDistance, Distance, HammingDistance, NumericDi
 use divr_core::engine::EngineRequest;
 use divr_core::problem::ObjectiveKind;
 use divr_core::relevance::{AttributeRelevance, ConstantRelevance};
-use divr_core::Ratio;
+use divr_core::{ByteWriter, Ratio};
 use divr_relquery::{Database, Tuple};
 use divr_server::{
-    CoresetSpec, FingerprintEncoder, Fingerprintable, ServableDistance, ServableRelevance,
-    UniverseSpec,
+    CoresetSpec, Fingerprintable, ServableDistance, ServableRelevance, UniverseKey, UniverseSpec,
 };
 use std::sync::Arc;
 
@@ -43,8 +42,8 @@ impl Distance for ChaosPanicDistance {
 }
 
 impl Fingerprintable for ChaosPanicDistance {
-    fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("dis:chaos_panic");
+    fn fingerprint(&self, enc: &mut ByteWriter) {
+        enc.write_str("dis:chaos_panic");
     }
 }
 
@@ -73,8 +72,8 @@ impl Distance for ChaosNanDistance {
 }
 
 impl Fingerprintable for ChaosNanDistance {
-    fn fingerprint(&self, enc: &mut FingerprintEncoder) {
-        enc.write_tag("dis:chaos_nan");
+    fn fingerprint(&self, enc: &mut ByteWriter) {
+        enc.write_str("dis:chaos_nan");
     }
 }
 
@@ -137,8 +136,8 @@ pub fn database_from_json(v: &Value) -> Result<(String, Database), String> {
         .and_then(Value::as_array)
         .ok_or("database needs a relations array")?;
     let mut db = Database::new();
-    let mut enc = FingerprintEncoder::new();
-    enc.write_tag("wire-db");
+    let mut enc = ByteWriter::new();
+    enc.write_str("wire-db");
     enc.write_usize(relations.len());
     for relation in relations {
         let name = relation
@@ -154,7 +153,7 @@ pub fn database_from_json(v: &Value) -> Result<(String, Database), String> {
             .map(|a| a.as_str().ok_or("relation attrs must be strings"))
             .collect::<Result<_, _>>()?;
         db.create_relation(name, &attrs).map_err(|e| e.to_string())?;
-        enc.write_tag("rel");
+        enc.write_str("rel");
         enc.write_str(name);
         enc.write_usize(attrs.len());
         for attr in &attrs {
@@ -174,7 +173,8 @@ pub fn database_from_json(v: &Value) -> Result<(String, Database), String> {
             }
         }
     }
-    Ok((format!("db-{:032x}", enc.into_key().digest()), db))
+    let digest = UniverseKey::new(enc.into_bytes()).digest();
+    Ok((format!("db-{digest:032x}"), db))
 }
 
 /// Decodes one `relevance` object (`{"kind": "constant"|"attribute", …}`).

@@ -5,13 +5,25 @@ use divr_core::engine::EngineRequest;
 use divr_core::problem::ObjectiveKind;
 use divr_core::relevance::AttributeRelevance;
 use divr_core::distance::NumericDistance;
-use divr_core::Ratio;
+use divr_core::{Deadline, Ratio};
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple};
-use divr_server::{QueryError, QueryFrontDoor, QuerySpec, Registry, UniverseSpec};
+use divr_server::{
+    CheckedAnswer, QueryError, QueryFrontDoor, QuerySpec, Registry, TenantBatch, UniverseSpec,
+};
 use divr_service::json::{self, Value};
 use divr_service::{query_doc, serve_doc, AdmissionConfig, Client, Service, ServiceConfig};
 use std::sync::Arc;
+
+/// One request through the registry's serve entry point.
+fn try_serve(registry: &Registry, spec: &UniverseSpec, request: EngineRequest) -> CheckedAnswer {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: vec![request],
+    }];
+    let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+    answers.remove(0).remove(0)
+}
 
 fn test_config() -> ServiceConfig {
     ServiceConfig {
@@ -97,7 +109,7 @@ fn serve_answers_match_the_engine_oracle() {
     let spec = universe_spec(40);
     for (answer, request) in answers.iter().zip(&requests) {
         assert_eq!(answer.get("ok").and_then(Value::as_bool), Some(true));
-        let (value, indices) = oracle.try_serve(&spec, *request).unwrap();
+        let (value, indices) = try_serve(&oracle, &spec, *request).unwrap();
         assert_eq!(
             ratio_of(answer.get("value").unwrap()),
             (
@@ -437,7 +449,7 @@ fn query_answers_match_the_front_door_oracle() {
     let front = QueryFrontDoor::new(Arc::new(Registry::default()));
     front.register_database("main", database());
     let spec = query_spec(text);
-    let want = front.serve_query("main", &spec, &requests).unwrap();
+    let want = front.serve_query_deadline("main", &spec, &requests, Deadline::none()).unwrap();
     for (answer, oracle) in answers.iter().zip(&want) {
         assert_eq!(answer.get("ok").and_then(Value::as_bool), Some(true));
         let (value, indices) = oracle.as_ref().unwrap();
@@ -552,8 +564,9 @@ fn empty_query_result_is_typed_at_both_layers() {
     // Registry layer: a typed refusal, not a panic.
     let front = QueryFrontDoor::new(Arc::new(Registry::default()));
     front.register_database("main", database());
+    let spec = query_spec("Q(x) :- void(x)");
     let err = front
-        .serve_query("main", &query_spec("Q(x) :- void(x)"), &all_objectives(1))
+        .serve_query_deadline("main", &spec, &all_objectives(1), Deadline::none())
         .unwrap_err();
     assert_eq!(err, QueryError::EmptyResult);
 
@@ -599,7 +612,7 @@ fn concurrent_chaos_tenants_never_poison_healthy_ones() {
             .unwrap();
         let answers = response.get("answers").and_then(Value::as_array).unwrap();
         for (answer, request) in answers.iter().zip(&requests) {
-            let (value, indices) = oracle.try_serve(&spec, *request).unwrap();
+            let (value, indices) = try_serve(&oracle, &spec, *request).unwrap();
             assert_eq!(
                 ratio_of(answer.get("value").unwrap()).0,
                 i64::try_from(value.numerator()).unwrap()

@@ -9,9 +9,9 @@ use divr_core::engine::EngineRequest;
 use divr_core::problem::ObjectiveKind;
 use divr_core::distance::NumericDistance;
 use divr_core::relevance::AttributeRelevance;
-use divr_core::Ratio;
+use divr_core::{Deadline, Ratio};
 use divr_relquery::Tuple;
-use divr_server::{Registry, UniverseSpec};
+use divr_server::{CheckedAnswer, Registry, TenantBatch, UniverseSpec};
 use divr_service::json::{self, Value};
 use divr_service::proto::write_frame;
 use divr_service::{serve_doc, Client, Service, ServiceConfig};
@@ -19,6 +19,16 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// One request through the registry's serve entry point.
+fn try_serve(registry: &Registry, spec: &UniverseSpec, request: EngineRequest) -> CheckedAnswer {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: vec![request],
+    }];
+    let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+    answers.remove(0).remove(0)
+}
 
 fn test_config() -> ServiceConfig {
     ServiceConfig {
@@ -79,7 +89,7 @@ fn assert_healthy(service: &Service) {
     let oracle = Registry::default();
     let spec = universe_spec(20);
     for (answer, request) in answers.iter().zip(&requests) {
-        let (value, indices) = oracle.try_serve(&spec, *request).unwrap();
+        let (value, indices) = try_serve(&oracle, &spec, *request).unwrap();
         let pair = answer.get("value").unwrap().as_array().unwrap();
         assert_eq!(
             (pair[0].as_i64().unwrap(), pair[1].as_i64().unwrap()),

@@ -4,12 +4,14 @@
 //!
 //! A product-search front-end rarely answers one diversification query
 //! per materialized result — it answers many: different page sizes
-//! (`k`), different objectives, A/B'd λ policies. The batch engine
-//! pays the `O(n²)` distance precomputation once and serves every
-//! request from the same matrix, with results guaranteed to match the
-//! exact `Ratio`-path heuristics up to equal-score ties.
+//! (`k`), different objectives, A/B'd λ policies. The engine pays the
+//! `O(n²)` distance precomputation once and serves every request from
+//! the same matrix — one reused solver scratch and output buffer, so
+//! the steady state allocates nothing per request — with results
+//! guaranteed to match the exact `Ratio`-path heuristics up to
+//! equal-score ties.
 
-use divr::core::engine::EngineRequest;
+use divr::core::engine::{EngineRequest, SolveScratch};
 use divr::core::prelude::*;
 use divr::relquery::{parser, Database, Value};
 use rand::rngs::StdRng;
@@ -58,7 +60,7 @@ fn main() {
     );
 
     // Serve a mixed batch: three objectives × three page sizes, plus
-    // one infeasible request to show the None path.
+    // one infeasible request to show the typed-error path.
     let mut requests: Vec<EngineRequest> = ObjectiveKind::ALL
         .into_iter()
         .flat_map(|kind| [5usize, 10, 25].map(|k| EngineRequest { kind, k }))
@@ -69,12 +71,11 @@ fn main() {
     });
 
     let t1 = Instant::now();
-    let answers = engine.serve_batch(&requests);
-    let elapsed = t1.elapsed();
-
-    for (req, ans) in requests.iter().zip(&answers) {
-        match ans {
-            Some((value, set)) => {
+    let mut scratch = SolveScratch::new();
+    let mut set = Vec::new();
+    for req in &requests {
+        match engine.serve_into(*req, &mut scratch, &mut set) {
+            Ok(value) => {
                 let ids: Vec<i64> = set
                     .iter()
                     .take(6)
@@ -89,13 +90,10 @@ fn main() {
                     if set.len() > 6 { " …" } else { "" }
                 );
             }
-            None => println!(
-                "{:<7} k={:<7} infeasible: |Q(D)| < k",
-                req.kind.to_string(),
-                req.k
-            ),
+            Err(e) => println!("{:<7} k={:<7} {e}", req.kind.to_string(), req.k),
         }
     }
+    let elapsed = t1.elapsed();
     println!(
         "\nserved {} requests against one matrix in {:.1?}",
         requests.len(),

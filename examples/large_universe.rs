@@ -97,7 +97,7 @@ fn main() {
     ];
     for pass in ["cold", "warm"] {
         let t = Instant::now();
-        let answers = registry.serve_mixed(&batch);
+        let answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
         println!(
             "registry mixed batch ({pass}): {} answers in {:.2?}",
             answers.iter().map(|a| a.len()).sum::<usize>(),

@@ -25,7 +25,7 @@
 //! float noise.
 
 use divr::core::distance::TableDistance;
-use divr::core::engine::{DeltaError, Engine, EngineRequest, PreparedUniverse};
+use divr::core::engine::{DeltaError, Engine, EngineRequest, PreparedUniverse, SolveScratch};
 use divr::core::prelude::*;
 use divr::core::relevance::TableRelevance;
 use divr::core::Ratio;
@@ -293,7 +293,11 @@ fn churn_to_infeasible_k_is_typed() {
     );
     let engine = Engine::from_prepared(Arc::new(prepared), 1);
     assert_eq!(
-        engine.try_serve(EngineRequest { kind: ObjectiveKind::MaxSum, k: 4 }),
+        engine.serve_into(
+            EngineRequest { kind: ObjectiveKind::MaxSum, k: 4 },
+            &mut SolveScratch::new(),
+            &mut Vec::new()
+        ),
         Err(ServeError::InfeasibleK { k: 4, n: 3 })
     );
 }

@@ -116,8 +116,8 @@ fn k_larger_than_result_means_no_valid_sets_not_an_error() {
 
 #[test]
 fn k_above_n_after_removals_is_a_typed_error_not_a_panic() {
-    use divr::core::engine::{Engine, EngineRequest, PreparedUniverse, ServeError};
-    use divr::server::{Registry, UniverseSpec};
+    use divr::core::engine::{Engine, EngineRequest, PreparedUniverse, ServeError, SolveScratch};
+    use divr::server::{Registry, TenantBatch, UniverseSpec};
     use divr::DeltaOp;
     use std::sync::Arc;
 
@@ -148,7 +148,7 @@ fn k_above_n_after_removals_is_a_typed_error_not_a_panic() {
     };
     assert!(engine.serve(req).is_none());
     assert_eq!(
-        engine.try_serve(req),
+        engine.serve_into(req, &mut SolveScratch::new(), &mut Vec::new()),
         Err(ServeError::InfeasibleK { k: 4, n: 3 })
     );
 
@@ -156,11 +156,15 @@ fn k_above_n_after_removals_is_a_typed_error_not_a_panic() {
     // same typed error, never a panic.
     let registry = Registry::default();
     let mut spec = UniverseSpec::new(universe, Arc::new(rel), Arc::new(dis), Ratio::new(1, 2));
-    registry.prepare(&spec);
+    registry.try_prepare(&spec).unwrap();
     spec = registry.apply_delta(&spec, &DeltaOp::Remove(0)).unwrap();
     spec = registry.apply_delta(&spec, &DeltaOp::Remove(0)).unwrap();
+    let batch = [TenantBatch {
+        spec,
+        requests: vec![req],
+    }];
     assert_eq!(
-        registry.try_serve(&spec, req),
+        registry.serve_mixed_checked_deadline(&batch, Deadline::none())[0][0],
         Err(ServeError::InfeasibleK { k: 4, n: 3 })
     );
 }

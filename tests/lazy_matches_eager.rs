@@ -244,6 +244,7 @@ fn one_scratch_across_mixed_universes_is_stateless()  {
             for k in [1usize, 2, (n as usize).min(5), n as usize] {
                 let via_scratch = e
                     .serve_into(EngineRequest { kind, k }, &mut scratch, &mut out)
+                    .ok()
                     .map(|v| (v, out.clone()));
                 let fresh = e.serve(EngineRequest { kind, k });
                 assert_eq!(via_scratch, fresh, "n={n} {kind} k={k}");

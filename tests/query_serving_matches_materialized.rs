@@ -16,9 +16,31 @@ use divr::core::Ratio;
 use divr::relquery::eval::eval_query;
 use divr::relquery::parser::parse_query;
 use divr::relquery::{Database, Tuple, Value};
-use divr::server::{QueryError, QueryFrontDoor, QuerySpec, Registry, RegistryConfig, UniverseSpec};
+use divr::server::{
+    CheckedAnswer, QueryError, QueryFrontDoor, QuerySpec, Registry, RegistryConfig, TenantBatch,
+    UniverseSpec,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// One request through the registry's serve entry point.
+fn try_serve(registry: &Registry, spec: &UniverseSpec, request: EngineRequest) -> CheckedAnswer {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: vec![request],
+    }];
+    let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+    answers.remove(0).remove(0)
+}
+
+/// [`try_serve`] with the diagnosis dropped.
+fn serve(
+    registry: &Registry,
+    spec: &UniverseSpec,
+    request: EngineRequest,
+) -> Option<(Ratio, Vec<usize>)> {
+    try_serve(registry, spec, request).ok()
+}
 
 /// A random world: up to three base relations with integer rows over a
 /// small domain, one conjunctive query over them, λ, and `k`.
@@ -146,7 +168,7 @@ fn oracle_answers(
         lambda,
     );
     let registry = Registry::default();
-    requests.iter().map(|&r| registry.serve(&spec, r)).collect()
+    requests.iter().map(|&r| serve(&registry, &spec, r)).collect()
 }
 
 /// Asserts the front door's checked answers equal the oracle's
@@ -193,7 +215,7 @@ proptest! {
 
         if materialized.is_empty() {
             let err = front
-                .serve_query("main", &spec, &all_requests(raw.k))
+                .serve_query_deadline("main", &spec, &all_requests(raw.k), Deadline::none())
                 .unwrap_err();
             prop_assert_eq!(err, QueryError::EmptyResult);
             return Ok(());
@@ -201,9 +223,9 @@ proptest! {
 
         let requests = all_requests(raw.k);
         let want = oracle_answers(materialized, spec.lambda(), &requests);
-        let cold = front.serve_query("main", &spec, &requests).unwrap();
+        let cold = front.serve_query_deadline("main", &spec, &requests, Deadline::none()).unwrap();
         assert_answers_match(&cold, &want, "cold")?;
-        let warm = front.serve_query("main", &spec, &requests).unwrap();
+        let warm = front.serve_query_deadline("main", &spec, &requests, Deadline::none()).unwrap();
         assert_answers_match(&warm, &want, "warm")?;
         // One semantic key, one preparation, despite two serves.
         prop_assert_eq!(front.registry().stats().misses, 1);
@@ -243,7 +265,9 @@ proptest! {
                     lambda,
                 )
                 .unwrap();
-                let got = front.serve_query("main", &spec, &requests).unwrap();
+                let got = front
+                    .serve_query_deadline("main", &spec, &requests, Deadline::none())
+                    .unwrap();
                 let want = oracle_answers(materialized.clone(), lambda, &requests);
                 assert_answers_match(&got, &want, &format!("round {round} λ={lambda}"))?;
             }
@@ -275,7 +299,7 @@ proptest! {
         front.register_database("main", db);
         let requests = all_requests(raw.k);
         // Warm the entry.
-        front.serve_query("main", &spec, &requests).unwrap();
+        front.serve_query_deadline("main", &spec, &requests, Deadline::none()).unwrap();
         let misses_before = front.registry().stats().misses;
 
         // Insert into the first relation the query actually reads (its
@@ -292,7 +316,7 @@ proptest! {
         // original order + appended repairs.
         let repaired = front.universe_of("main", &spec).unwrap();
         let want = oracle_answers(repaired.clone(), spec.lambda(), &requests);
-        let got = front.serve_query("main", &spec, &requests).unwrap();
+        let got = front.serve_query_deadline("main", &spec, &requests, Deadline::none()).unwrap();
         assert_answers_match(&got, &want, "post-delta")?;
         if touched {
             // …and it is set-equal to evaluating the mutated database

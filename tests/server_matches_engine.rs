@@ -16,9 +16,37 @@ use divr::core::relevance::TableRelevance;
 use divr::core::solvers::mono;
 use divr::core::{approx, Ratio};
 use divr::relquery::Tuple;
-use divr::server::{Registry, RegistryConfig, TenantBatch, UniverseSpec};
+use divr::server::{CheckedAnswer, Registry, RegistryConfig, TenantBatch, UniverseSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// One served answer, or `None` when the request has none.
+type MaybeAnswer = Option<(Ratio, Vec<usize>)>;
+
+/// One request through the registry's serve entry point.
+fn try_serve(registry: &Registry, spec: &UniverseSpec, request: EngineRequest) -> CheckedAnswer {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: vec![request],
+    }];
+    let mut answers = registry.serve_mixed_checked_deadline(&batch, Deadline::none());
+    answers.remove(0).remove(0)
+}
+
+/// [`try_serve`] with the diagnosis dropped.
+fn serve(registry: &Registry, spec: &UniverseSpec, request: EngineRequest) -> MaybeAnswer {
+    try_serve(registry, spec, request).ok()
+}
+
+/// A mixed batch through the registry's serve entry point, diagnoses
+/// dropped.
+fn serve_mixed(registry: &Registry, batch: &[TenantBatch]) -> Vec<Vec<MaybeAnswer>> {
+    registry
+        .serve_mixed_checked_deadline(batch, Deadline::none())
+        .into_iter()
+        .map(|tenant| tenant.into_iter().map(Result::ok).collect())
+        .collect()
+}
 
 /// A random integer-scored universe: `n` points, relevances in
 /// `[0, 20]`, upper-triangle distances in `[0, 30]`, `λ ∈ {0, ¼, …, 1}`.
@@ -149,7 +177,7 @@ proptest! {
         // Serve the same batch twice: first pass exercises misses, the
         // second pass hits the cached prepared universes.
         for pass in 0..2 {
-            let answers = registry.serve_mixed(&batch);
+            let answers = serve_mixed(&registry, &batch);
             prop_assert_eq!(answers.len(), batch.len(), "pass {}", pass);
             for (tenant, tenant_answers) in raw.tenants.iter().zip(&answers) {
                 let &(u, obj, k) = tenant;
@@ -188,7 +216,7 @@ proptest! {
         for round in 0..2 {
             for (spec, obj) in [(&spec_a, round), (&spec_b, round + 1)] {
                 let req = request_of(obj, k);
-                let got = registry.serve(spec, req);
+                let got = serve(&registry, spec, req);
                 assert_matches(&got, spec, req)?;
             }
         }
@@ -230,8 +258,8 @@ proptest! {
         let p = DiversityProblem::from_prepared(&prepared, k);
         for kind in ObjectiveKind::ALL {
             let req = EngineRequest { kind, k };
-            let cold = registry.serve(&spec, req);
-            let warm = registry.serve(&spec, req);
+            let cold = serve(&registry, &spec, req);
+            let warm = serve(&registry, &spec, req);
             prop_assert_eq!(&cold, &warm);
             assert_matches(&cold, &spec, req)?;
             let sequential = match kind {
