@@ -19,21 +19,26 @@
 //!
 //! Run with `cargo bench -p divr-bench --bench coreset_scaling`;
 //! recorded numbers live in `BENCH_coreset.json` at the workspace
-//! root.
+//! root. `BENCH_QUICK=1` shrinks the headline size to
+//! `n = 5 000` and the measurement window to 200 ms per row — a
+//! seconds-long sanity run of every builder path, not a timing gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use divr_bench::env_flag;
 use divr_core::coreset::{CoresetConfig, CoresetEngine, PreparedCoreset};
 use divr_core::distance::NumericDistance;
-use divr_core::engine::{EngineRequest, PreparedUniverse};
+use divr_core::engine::{DistOracle, EngineRequest, PreparedUniverse};
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
 use divr_core::relevance::TableRelevance;
+use divr_core::Deadline;
 use divr_relquery::Tuple;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
 const N_LARGE: usize = 50_000;
+const N_LARGE_QUICK: usize = 5_000;
 const N_SMALL: usize = 2_000;
 const K: usize = 10;
 const BUDGET: usize = 16 * K; // CoresetConfig::recommended(K)
@@ -55,25 +60,37 @@ fn dis() -> Arc<dyn divr_core::distance::Distance + Send + Sync> {
     })
 }
 
+/// A coreset selected over the whole universe, no deadline.
+fn build_coreset(u: &[Tuple], rel: &TableRelevance, config: &CoresetConfig) -> usize {
+    let lambda = Ratio::new(1, 2);
+    PreparedCoreset::build(
+        u.to_vec(),
+        rel,
+        dis(),
+        lambda,
+        config,
+        usize::MAX,
+        Deadline::none(),
+    )
+    .expect("unbounded deadline cannot be exceeded")
+    .m()
+}
+
 fn coreset_scaling(c: &mut Criterion) {
+    let quick = env_flag("BENCH_QUICK");
+    let n_large = if quick { N_LARGE_QUICK } else { N_LARGE };
+    let window = std::time::Duration::from_millis(if quick { 200 } else { 2000 });
     let mut g = c.benchmark_group("coreset");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(100));
-    g.measurement_time(std::time::Duration::from_millis(2000));
+    g.measurement_time(window);
 
     // The headline: prepare + serve where the full matrix cannot exist.
-    let (universe, rel) = workload(N_LARGE);
+    let (universe, rel) = workload(n_large);
     let config = CoresetConfig::with_budget(BUDGET);
-    g.bench_with_input(
-        BenchmarkId::new("prepare", N_LARGE),
-        &universe,
-        |b, u| {
-            b.iter(|| {
-                PreparedCoreset::build_shared(u.clone(), &rel, dis(), Ratio::new(1, 2), &config)
-                    .m()
-            })
-        },
-    );
+    g.bench_with_input(BenchmarkId::new("prepare", n_large), &universe, |b, u| {
+        b.iter(|| build_coreset(u, &rel, &config))
+    });
     let engine = CoresetEngine::new(
         universe.clone(),
         &rel,
@@ -83,7 +100,7 @@ fn coreset_scaling(c: &mut Criterion) {
     );
     for kind in ObjectiveKind::ALL {
         g.bench_with_input(
-            BenchmarkId::new(format!("serve_{kind}"), N_LARGE),
+            BenchmarkId::new(format!("serve_{kind}"), n_large),
             &kind,
             |b, &kind| {
                 b.iter(|| engine.serve(EngineRequest { kind, k: K }).unwrap().1.len())
@@ -94,41 +111,30 @@ fn coreset_scaling(c: &mut Criterion) {
     // Small-n contrast: what the O(n·m) selection costs next to the
     // O(n²) matrix build it replaces.
     let (small, small_rel) = workload(N_SMALL);
-    g.bench_with_input(
-        BenchmarkId::new("prepare", N_SMALL),
-        &small,
-        |b, u| {
-            b.iter(|| {
-                PreparedCoreset::build_shared(
-                    u.clone(),
-                    &small_rel,
-                    dis(),
-                    Ratio::new(1, 2),
-                    &config,
-                )
-                .m()
-            })
-        },
-    );
+    g.bench_with_input(BenchmarkId::new("prepare", N_SMALL), &small, |b, u| {
+        b.iter(|| build_coreset(u, &small_rel, &config))
+    });
     g.finish();
 
     let mut g = c.benchmark_group("full");
     g.sample_size(10);
     g.warm_up_time(std::time::Duration::from_millis(100));
-    g.measurement_time(std::time::Duration::from_millis(2000));
+    g.measurement_time(window);
     let (small, small_rel) = workload(N_SMALL);
     g.bench_with_input(
         BenchmarkId::new("prepare", N_SMALL),
         &small,
         |b, u| {
             b.iter(|| {
-                PreparedUniverse::build_shared(
+                PreparedUniverse::build(
                     u.clone(),
                     &small_rel,
-                    dis(),
+                    DistOracle::Shared(dis()),
                     Ratio::new(1, 2),
                     divr_core::engine::default_threads(),
+                    Deadline::none(),
                 )
+                .expect("unbounded deadline cannot be exceeded")
                 .n()
             })
         },

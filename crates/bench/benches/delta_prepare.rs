@@ -16,10 +16,11 @@
 //! that the bench builds and runs, not a timing gate).
 
 use divr_bench::env_flag;
-use divr_core::engine::{Engine, EngineRequest, PreparedUniverse};
+use divr_core::engine::{DistOracle, Engine, EngineRequest, PreparedUniverse};
 use divr_core::problem::ObjectiveKind;
 use divr_core::ratio::Ratio;
 use divr_core::relevance::{Relevance, TableRelevance};
+use divr_core::Deadline;
 use divr_relquery::Tuple;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -70,7 +71,18 @@ fn main() {
 
     // The warm state a resident tenant has: prepared once, all three
     // solver preambles materialized by real serves.
-    let mut prepared = PreparedUniverse::build_shared(base.clone(), &rel, dis(), lambda, 1);
+    let prepare = |u: Vec<Tuple>| {
+        PreparedUniverse::build(
+            u,
+            &rel,
+            DistOracle::Shared(dis()),
+            lambda,
+            1,
+            Deadline::none(),
+        )
+        .expect("unbounded deadline cannot be exceeded")
+    };
+    let mut prepared = prepare(base.clone());
     let warm = |p: PreparedUniverse<'static>| -> PreparedUniverse<'static> {
         let arc = Arc::new(p);
         let engine = Engine::from_prepared(arc.clone(), 1);
@@ -90,7 +102,9 @@ fn main() {
     let mut delta_total = Duration::ZERO;
     for _ in 0..samples {
         let t0 = Instant::now();
-        prepared.insert_tuple(extra.clone(), extra_rel);
+        prepared
+            .insert_tuple(extra.clone(), extra_rel)
+            .expect("finite scores");
         delta_total += t0.elapsed();
         assert_eq!(prepared.n(), n + 1);
         prepared.remove_tuple(n).expect("just inserted");
@@ -110,7 +124,7 @@ fn main() {
     let mut full_total = Duration::ZERO;
     for _ in 0..full_samples {
         let t0 = Instant::now();
-        let p = PreparedUniverse::build_shared(mutated.clone(), &rel, dis(), lambda, 1);
+        let p = prepare(mutated.clone());
         full_total += t0.elapsed();
         assert_eq!(p.n(), n + 1);
     }

@@ -27,7 +27,13 @@
 //!   relevance caches, the coreset itself, and an `m × m`
 //!   [`PreparedUniverse`] over the representatives. Its [`approx_bytes`](PreparedCoreset::approx_bytes)
 //!   meters `m²`, not `n²` — the honest figure a byte-budgeted cache
-//!   must charge.
+//!   must charge. It has one builder, [`PreparedCoreset::build`]: select
+//!   over the first `select_over` tuples of a sequence, then stream the
+//!   rest through [`PreparedCoreset::insert_tuple`] — `usize::MAX`
+//!   selects over the whole universe, the budget streams everything
+//!   past an identity seed. Serving layers reach it through
+//!   [`PreparedVariant::build`](crate::pipeline::PreparedVariant::build),
+//!   the one full/coreset dispatch, which also validates the result.
 //! * [`CoresetEngine`] — runs the existing max-sum / max-min / MMR /
 //!   mono heuristics of [`Engine`] on the coreset's matrix, maps the
 //!   chosen representatives back to full-universe indices, and
@@ -78,8 +84,8 @@ use crate::avail::GenMarks;
 use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::{
-    argmax_with_ties, default_threads, resolve_ties_exact, Engine, EngineRequest,
-    PreparedUniverse, ServeError, SolveScratch,
+    argmax_with_ties, default_threads, resolve_ties_exact, score_relevance, DistOracle, Engine,
+    EngineRequest, PreparedUniverse, ScoreSource, ServeError, SolveScratch,
 };
 use crate::problem::ObjectiveKind;
 use crate::ratio::Ratio;
@@ -220,24 +226,14 @@ impl Coreset {
     ///    the lowest index, exactly like [`crate::engine`]'s argmax.
     ///
     /// `rel_exact[i]` must equal `δ_rel(universe[i])`.
+    ///
+    /// The cooperative [`Deadline`] is checked between phase-1 coverage
+    /// passes and between Gonzalez farthest-point iterations — each an
+    /// `O(n)` scan, so an abandoned selection overshoots its deadline
+    /// by at most one pass. Returns `Err(ServeError::DeadlineExceeded)`
+    /// on abandonment; partial state is dropped. With
+    /// [`Deadline::none`] it cannot fail.
     pub fn select(
-        universe: &[Tuple],
-        rel_exact: &[Ratio],
-        dis: &(dyn Distance + Sync),
-        budget: usize,
-        threads: usize,
-    ) -> Coreset {
-        Self::try_select_deadline(universe, rel_exact, dis, budget, threads, Deadline::none())
-            .expect("unbounded deadline cannot be exceeded")
-    }
-
-    /// [`Coreset::select`] under a cooperative [`Deadline`], checked
-    /// between phase-1 coverage passes and between Gonzalez
-    /// farthest-point iterations — each an `O(n)` scan, so an
-    /// abandoned selection overshoots its deadline by at most one
-    /// pass. Returns `Err(ServeError::DeadlineExceeded)` on
-    /// abandonment; partial state is dropped.
-    pub fn try_select_deadline(
         universe: &[Tuple],
         rel_exact: &[Ratio],
         dis: &(dyn Distance + Sync),
@@ -386,38 +382,71 @@ pub struct PreparedCoreset {
 /// A prepared coreset shareable across threads and cache entries.
 pub type SharedCoreset = Arc<PreparedCoreset>;
 
+/// The `m × m` prepared universe over `coreset`'s representatives,
+/// reusing the full universe's already-evaluated relevance scores.
+fn sub_universe(
+    universe: &[Tuple],
+    rel_exact: &[Ratio],
+    coreset: &Coreset,
+    dis: &Arc<dyn Distance + Send + Sync>,
+    lambda: Ratio,
+    threads: usize,
+    deadline: Deadline,
+) -> Result<PreparedUniverse<'static>, ServeError> {
+    let reps = coreset.indices();
+    PreparedUniverse::from_scores(
+        reps.iter().map(|&i| universe[i].clone()).collect(),
+        reps.iter().map(|&i| rel_exact[i]).collect(),
+        DistOracle::Shared(Arc::clone(dis)),
+        lambda,
+        threads,
+        deadline,
+    )
+}
+
 impl PreparedCoreset {
-    /// Prepares the coreset path over a materialized universe:
-    /// evaluates relevance once (`O(n)`), selects the coreset
-    /// (`O(n·m)` distances), and builds the `m × m` matrix over the
-    /// representatives. Never allocates `n × n`.
+    /// Prepares the coreset path from a tuple sequence — the one
+    /// coreset builder. Never allocates `n × n`:
+    ///
+    /// 1. the first `select_over` tuples are collected, scored once
+    ///    (`O(n)` relevance evaluations), and a coreset of
+    ///    `min(config.budget, n)` representatives is selected over them
+    ///    ([`Coreset::select`], `O(n·m)` distances), with the `m × m`
+    ///    matrix built over the representatives;
+    /// 2. every further tuple flows through the [`insert_tuple`]
+    ///    incremental path.
+    ///
+    /// `select_over` picks the shape: `usize::MAX` selects over the
+    /// whole universe; `config.budget` seeds an identity coreset
+    /// (`m == n`, so selection over the seed is trivially exact) and
+    /// streams the rest, so `Q(D)` is never materialized as a separate
+    /// vector; any other prefix length replays a coreset that was
+    /// selected over that prefix and then grown by inserts. The result
+    /// is deterministic in the tuple order: two calls over the same
+    /// sequence produce identical prepared state, which is what lets a
+    /// query front door that streams evaluator output be differential-
+    /// tested against by-hand materialization of the same sequence.
+    ///
+    /// The cooperative [`Deadline`] is polled by the relevance pass
+    /// (every 64 items), the selection (per Gonzalez iteration), the
+    /// `m × m` build (per row) and each streamed insert, so an
+    /// expensive prepare is abandoned with
+    /// [`ServeError::DeadlineExceeded`] within one `O(n)` slice instead
+    /// of running to completion. A refused prepare leaves nothing
+    /// behind. A streamed tuple with a non-finite score is refused by
+    /// [`insert_tuple`].
     ///
     /// Panics if `λ ∉ [0, 1]` (same contract as
     /// [`PreparedUniverse::build`]).
-    pub fn build_shared(
-        universe: Vec<Tuple>,
+    ///
+    /// [`insert_tuple`]: PreparedCoreset::insert_tuple
+    pub fn build(
+        tuples: impl IntoIterator<Item = Tuple>,
         rel: &dyn Relevance,
         dis: Arc<dyn Distance + Send + Sync>,
         lambda: Ratio,
         config: &CoresetConfig,
-    ) -> PreparedCoreset {
-        Self::try_build_shared_deadline(universe, rel, dis, lambda, config, Deadline::none())
-            .expect("unbounded deadline cannot be exceeded")
-    }
-
-    /// [`PreparedCoreset::build_shared`] under a cooperative
-    /// [`Deadline`]: the `O(n)` relevance pass, the `O(n·m)` selection
-    /// (checked per Gonzalez iteration), and the `m × m` sub-universe
-    /// matrix build (checked per row) all poll it, so an expensive
-    /// prepare is abandoned with [`ServeError::DeadlineExceeded`]
-    /// within one `O(n)` slice instead of running to completion. A
-    /// refused prepare leaves nothing behind.
-    pub fn try_build_shared_deadline(
-        universe: Vec<Tuple>,
-        rel: &dyn Relevance,
-        dis: Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        config: &CoresetConfig,
+        select_over: usize,
         deadline: Deadline,
     ) -> Result<PreparedCoreset, ServeError> {
         assert!(
@@ -425,15 +454,11 @@ impl PreparedCoreset {
             "λ must lie in [0, 1]"
         );
         let threads = config.threads.max(1);
-        let mut rel_exact: Vec<Ratio> = Vec::with_capacity(universe.len());
-        for (i, t) in universe.iter().enumerate() {
-            if i.is_multiple_of(64) {
-                deadline.check()?;
-            }
-            rel_exact.push(rel.rel(t));
-        }
+        let mut rest = tuples.into_iter();
+        let universe: Vec<Tuple> = rest.by_ref().take(select_over).collect();
+        let rel_exact = score_relevance(&universe, rel, deadline)?;
         let rel_f: Vec<f64> = rel_exact.iter().map(Ratio::to_f64).collect();
-        let coreset = Coreset::try_select_deadline(
+        let coreset = Coreset::select(
             &universe,
             &rel_exact,
             &*dis,
@@ -441,21 +466,10 @@ impl PreparedCoreset {
             threads,
             deadline,
         )?;
-        let sub_universe: Vec<Tuple> = coreset
-            .indices()
-            .iter()
-            .map(|&i| universe[i].clone())
-            .collect();
-        let sub_rels: Vec<Ratio> = coreset.indices().iter().map(|&i| rel_exact[i]).collect();
-        let sub = Arc::new(PreparedUniverse::try_build_shared_with_scores_deadline(
-            sub_universe,
-            sub_rels,
-            dis.clone(),
-            lambda,
-            threads,
-            deadline,
-        )?);
-        Ok(PreparedCoreset {
+        let sub = sub_universe(
+            &universe, &rel_exact, &coreset, &dis, lambda, threads, deadline,
+        )?;
+        let mut prepared = PreparedCoreset {
             universe,
             dis,
             rel_exact,
@@ -463,57 +477,12 @@ impl PreparedCoreset {
             lambda,
             config: *config,
             coreset,
-            sub,
-        })
-    }
-
-    /// Prepares the coreset path from a **tuple stream** without ever
-    /// materializing `Q(D)` as a separate vector: the first `budget`
-    /// tuples seed an identity coreset via [`build_shared`]
-    /// (`m == n`, so selection over the seed is trivially exact), and
-    /// every further tuple flows through the [`insert_tuple`]
-    /// incremental path. The only `O(n)` storage is the prepared
-    /// state's own universe — the copy serving needs anyway for exact
-    /// re-scoring.
-    ///
-    /// Deterministic in the stream order: two calls over the same
-    /// sequence produce identical prepared state, which is what lets a
-    /// query front door that streams evaluator output be differential-
-    /// tested against by-hand materialization of the same sequence.
-    ///
-    /// [`build_shared`]: PreparedCoreset::build_shared
-    /// [`insert_tuple`]: PreparedCoreset::insert_tuple
-    pub fn build_streaming(
-        tuples: impl IntoIterator<Item = Tuple>,
-        rel: &dyn Relevance,
-        dis: Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        config: &CoresetConfig,
-    ) -> PreparedCoreset {
-        Self::try_build_streaming_deadline(tuples, rel, dis, lambda, config, Deadline::none())
-            .expect("unbounded deadline cannot be exceeded")
-    }
-
-    /// [`PreparedCoreset::build_streaming`] under a cooperative
-    /// [`Deadline`], checked per streamed insert (each insert is at
-    /// most `O(n)` work). Returns [`ServeError::DeadlineExceeded`] on
-    /// abandonment; the partially built state is dropped.
-    pub fn try_build_streaming_deadline(
-        tuples: impl IntoIterator<Item = Tuple>,
-        rel: &dyn Relevance,
-        dis: Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        config: &CoresetConfig,
-        deadline: Deadline,
-    ) -> Result<PreparedCoreset, ServeError> {
-        let mut it = tuples.into_iter();
-        let seed: Vec<Tuple> = it.by_ref().take(config.budget.max(1)).collect();
-        let mut prepared =
-            Self::try_build_shared_deadline(seed, rel, dis, lambda, config, deadline)?;
-        for t in it {
+            sub: Arc::new(sub),
+        };
+        for t in rest {
             deadline.check()?;
             let r = rel.rel(&t);
-            prepared.insert_tuple(t, r);
+            prepared.insert_tuple(t, r)?;
         }
         Ok(prepared)
     }
@@ -587,12 +556,29 @@ impl PreparedCoreset {
     /// ascending-indices invariant is relaxed once a displacement
     /// occurs); the contract is the measured quality-factor bound that
     /// `tests/coreset_matches_engine.rs` pins for insertion streams.
-    pub fn insert_tuple(&mut self, tuple: Tuple, rel: Ratio) {
+    ///
+    /// The new relevance and the new item's float distances to every
+    /// representative (its would-be row of the `m × m` matrix) are
+    /// validated **before** anything is mutated: a non-finite value
+    /// refuses the insert with [`ServeError::NonFiniteScore`] (indices
+    /// as in [`PreparedCoreset::check_finite`]; a distance reports
+    /// `(representative position, m)`), and the serving layers drop
+    /// the entry.
+    pub fn insert_tuple(&mut self, tuple: Tuple, rel: Ratio) -> Result<(), ServeError> {
         let x = self.universe.len();
         let m = self.coreset.m();
+        let rel_new = rel.to_f64();
+        if !rel_new.is_finite() {
+            return Err(ServeError::NonFiniteScore {
+                source: ScoreSource::Relevance,
+                i: x,
+                j: x,
+            });
+        }
         if m < self.config.budget.max(1) || m == 0 {
-            // Budget open: x becomes representative m.
-            self.sub_mut().insert_tuple(tuple.clone(), rel);
+            // Budget open: x becomes representative m. The sub-universe
+            // validates the new row before it mutates anything.
+            self.sub_mut().insert_tuple(tuple.clone(), rel)?;
             self.coreset.indices.push(x);
             self.coreset.assignment.push(m);
             self.coreset.nearest.push(0.0);
@@ -604,15 +590,23 @@ impl PreparedCoreset {
                 }
             }
         } else {
-            // Distances from the new item to every representative.
-            let (p_near, d_min) = self
-                .coreset
-                .indices
-                .iter()
-                .map(|&r| self.dis.dist_f64(&self.universe[r], &tuple))
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("m ≥ 1 representatives");
+            // Distances from the new item to every representative:
+            // validated, and the first nearest one kept.
+            let mut nearest_rep: Option<(usize, f64)> = None;
+            for (p, &r) in self.coreset.indices.iter().enumerate() {
+                let d = self.dis.dist_f64(&self.universe[r], &tuple);
+                if !d.is_finite() {
+                    return Err(ServeError::NonFiniteScore {
+                        source: ScoreSource::Distance,
+                        i: p,
+                        j: m,
+                    });
+                }
+                if nearest_rep.is_none_or(|(_, best)| d.total_cmp(&best).is_lt()) {
+                    nearest_rep = Some((p, d));
+                }
+            }
+            let (p_near, d_min) = nearest_rep.expect("m ≥ 1 representatives");
             if d_min <= self.coreset.covering_radius {
                 // Inside coverage: absorb under the nearest rep.
                 self.coreset.assignment.push(p_near);
@@ -623,7 +617,7 @@ impl PreparedCoreset {
                 // rep moves there) and appends x at position m − 1.
                 let sub = self.sub_mut();
                 sub.remove_tuple(p_near).expect("p_near < m");
-                sub.insert_tuple(tuple.clone(), rel);
+                sub.insert_tuple(tuple.clone(), rel)?;
                 self.coreset.indices.swap_remove(p_near);
                 self.coreset.indices.push(x);
                 let last = m - 1;
@@ -655,7 +649,8 @@ impl PreparedCoreset {
             .fold(0.0f64, |a, &b| a.max(b));
         self.universe.push(tuple);
         self.rel_exact.push(rel);
-        self.rel_f.push(rel.to_f64());
+        self.rel_f.push(rel_new);
+        Ok(())
     }
 
     /// Swap-removes the tuple at `index` (matching
@@ -675,32 +670,28 @@ impl PreparedCoreset {
         self.rel_exact.swap_remove(index);
         self.rel_f.swap_remove(index);
         let threads = self.config.threads.max(1);
+        let unbounded = "unbounded deadline cannot be exceeded";
         self.coreset = Coreset::select(
             &self.universe,
             &self.rel_exact,
             &*self.dis,
             self.config.budget,
             threads,
+            Deadline::none(),
+        )
+        .expect(unbounded);
+        self.sub = Arc::new(
+            sub_universe(
+                &self.universe,
+                &self.rel_exact,
+                &self.coreset,
+                &self.dis,
+                self.lambda,
+                threads,
+                Deadline::none(),
+            )
+            .expect(unbounded),
         );
-        let sub_universe: Vec<Tuple> = self
-            .coreset
-            .indices()
-            .iter()
-            .map(|&i| self.universe[i].clone())
-            .collect();
-        let sub_rels: Vec<Ratio> = self
-            .coreset
-            .indices()
-            .iter()
-            .map(|&i| self.rel_exact[i])
-            .collect();
-        self.sub = Arc::new(PreparedUniverse::build_shared_with_scores(
-            sub_universe,
-            sub_rels,
-            self.dis.clone(),
-            self.lambda,
-            threads,
-        ));
         Ok(removed)
     }
 
@@ -738,16 +729,17 @@ impl PreparedCoreset {
 
     /// Validates every cached float the coreset serving path consumes:
     /// the `O(n)` relevance cache and the `m × m` representative matrix
-    /// (via [`PreparedUniverse::check_finite`]). Serving layers call
-    /// this at prepare time and refuse the universe with the typed
-    /// [`ServeError::NonFiniteScore`] diagnosis instead of letting
+    /// (via [`PreparedUniverse::check_finite`]).
+    /// [`PreparedVariant::build`](crate::pipeline::PreparedVariant::build)
+    /// calls this at prepare time and refuses the universe with the
+    /// typed [`ServeError::NonFiniteScore`] diagnosis instead of letting
     /// `NaN`/`±∞` scores silently mis-select in the argmax rounds.
     /// Relevance indices in the diagnosis are full-universe indices;
     /// distance indices refer to the representative sub-universe.
-    pub fn check_finite(&self) -> Result<(), crate::engine::ServeError> {
+    pub fn check_finite(&self) -> Result<(), ServeError> {
         if let Some(i) = self.rel_f.iter().position(|r| !r.is_finite()) {
-            return Err(crate::engine::ServeError::NonFiniteScore {
-                source: crate::engine::ScoreSource::Relevance,
+            return Err(ServeError::NonFiniteScore {
+                source: ScoreSource::Relevance,
                 i,
                 j: i,
             });
@@ -779,8 +771,9 @@ pub struct CoresetEngine {
 }
 
 impl CoresetEngine {
-    /// Prepares a coreset engine in one go (see
-    /// [`PreparedCoreset::build_shared`] for the cost breakdown).
+    /// Prepares a coreset engine in one go, selecting over the whole
+    /// universe (see [`PreparedCoreset::build`] for the cost
+    /// breakdown).
     pub fn new(
         universe: Vec<Tuple>,
         rel: &dyn Relevance,
@@ -789,10 +782,17 @@ impl CoresetEngine {
         config: &CoresetConfig,
     ) -> Self {
         let threads = config.threads.max(1);
-        Self::from_prepared(
-            Arc::new(PreparedCoreset::build_shared(universe, rel, dis, lambda, config)),
-            threads,
+        let prepared = PreparedCoreset::build(
+            universe,
+            rel,
+            dis,
+            lambda,
+            config,
+            usize::MAX,
+            Deadline::none(),
         )
+        .expect("unbounded deadline cannot be exceeded");
+        Self::from_prepared(Arc::new(prepared), threads)
     }
 
     /// Wraps already-prepared (possibly cached and shared) coreset
@@ -1105,16 +1105,27 @@ mod tests {
         (0..n).map(|i| Tuple::ints([i * 3 % (2 * n), i % 5])).collect()
     }
 
+    /// A prepared coreset over the test oracles, selected over the
+    /// first `select_over` tuples, with no deadline.
+    fn prepare(
+        u: Vec<Tuple>,
+        lambda: Ratio,
+        cfg: &CoresetConfig,
+        select_over: usize,
+    ) -> PreparedCoreset {
+        PreparedCoreset::build(u, &REL, dis(), lambda, cfg, select_over, Deadline::none()).unwrap()
+    }
+
     fn rels_of(u: &[Tuple]) -> Vec<Ratio> {
         u.iter().map(|t| REL.rel(t)).collect()
     }
 
     #[test]
-    fn build_streaming_matches_build_shared_within_budget() {
+    fn streamed_build_matches_selected_build_within_budget() {
         let u = line_universe(30);
         let cfg = CoresetConfig::with_budget(64);
-        let a = PreparedCoreset::build_shared(u.clone(), &REL, dis(), Ratio::new(1, 2), &cfg);
-        let b = PreparedCoreset::build_streaming(u, &REL, dis(), Ratio::new(1, 2), &cfg);
+        let a = prepare(u.clone(), Ratio::new(1, 2), &cfg, usize::MAX);
+        let b = prepare(u, Ratio::new(1, 2), &cfg, cfg.budget);
         assert_eq!(a.universe(), b.universe());
         assert_eq!(a.coreset().indices(), b.coreset().indices());
         assert_eq!(a.m(), b.m());
@@ -1124,8 +1135,8 @@ mod tests {
     fn build_streaming_is_deterministic_beyond_budget() {
         let u = line_universe(200);
         let cfg = CoresetConfig::with_budget(16);
-        let a = PreparedCoreset::build_streaming(u.clone(), &REL, dis(), Ratio::new(1, 2), &cfg);
-        let b = PreparedCoreset::build_streaming(u.clone(), &REL, dis(), Ratio::new(1, 2), &cfg);
+        let a = prepare(u.clone(), Ratio::new(1, 2), &cfg, cfg.budget);
+        let b = prepare(u.clone(), Ratio::new(1, 2), &cfg, cfg.budget);
         assert_eq!(a.universe(), u.as_slice());
         assert_eq!(a.universe(), b.universe());
         assert_eq!(a.coreset().indices(), b.coreset().indices());
@@ -1135,10 +1146,10 @@ mod tests {
         // front-door differential suites rely on this equivalence.
         let mut it = u.into_iter();
         let seed: Vec<Tuple> = it.by_ref().take(16).collect();
-        let mut byhand = PreparedCoreset::build_shared(seed, &REL, dis(), Ratio::new(1, 2), &cfg);
+        let mut byhand = prepare(seed, Ratio::new(1, 2), &cfg, usize::MAX);
         for t in it {
             let r = REL.rel(&t);
-            byhand.insert_tuple(t, r);
+            byhand.insert_tuple(t, r).unwrap();
         }
         assert_eq!(a.coreset().indices(), byhand.coreset().indices());
     }
@@ -1149,7 +1160,7 @@ mod tests {
         let rels = rels_of(&u);
         let d = NumericDistance { attr: 0, fallback: Ratio::ZERO };
         for budget in [20, 50] {
-            let c = Coreset::select(&u, &rels, &d, budget, 2);
+            let c = Coreset::select(&u, &rels, &d, budget, 2, Deadline::none()).unwrap();
             assert_eq!(c.indices(), (0..20).collect::<Vec<_>>().as_slice());
             assert_eq!(c.covering_radius(), 0.0);
             for i in 0..20 {
@@ -1165,7 +1176,7 @@ mod tests {
         let u = line_universe(40);
         let rels = rels_of(&u);
         let d = NumericDistance { attr: 0, fallback: Ratio::ZERO };
-        let c = Coreset::select(&u, &rels, &d, 16, 2);
+        let c = Coreset::select(&u, &rels, &d, 16, 2, Deadline::none()).unwrap();
         let max_rel = rels.iter().max().unwrap();
         let top: Vec<usize> = (0..40).filter(|&i| rels[i] == *max_rel).collect();
         let kept = top.iter().filter(|i| c.indices().contains(i)).count();
@@ -1177,8 +1188,8 @@ mod tests {
         let u = line_universe(200);
         let rels = rels_of(&u);
         let d = NumericDistance { attr: 0, fallback: Ratio::ZERO };
-        let small = Coreset::select(&u, &rels, &d, 8, 2);
-        let large = Coreset::select(&u, &rels, &d, 64, 2);
+        let small = Coreset::select(&u, &rels, &d, 8, 2, Deadline::none()).unwrap();
+        let large = Coreset::select(&u, &rels, &d, 64, 2, Deadline::none()).unwrap();
         assert!(large.covering_radius() <= small.covering_radius());
         assert!(small.covering_radius() > 0.0);
     }
@@ -1188,8 +1199,8 @@ mod tests {
         let u = line_universe(150);
         let rels = rels_of(&u);
         let d = NumericDistance { attr: 0, fallback: Ratio::ZERO };
-        let a = Coreset::select(&u, &rels, &d, 24, 1);
-        let b = Coreset::select(&u, &rels, &d, 24, 4);
+        let a = Coreset::select(&u, &rels, &d, 24, 1, Deadline::none()).unwrap();
+        let b = Coreset::select(&u, &rels, &d, 24, 4, Deadline::none()).unwrap();
         assert_eq!(a.indices(), b.indices());
         assert_eq!(a.assignment, b.assignment);
     }
@@ -1201,7 +1212,7 @@ mod tests {
         let u: Vec<Tuple> = (0..12).map(|i| Tuple::ints([i])).collect();
         let rels = vec![Ratio::ONE; 12];
         let d = TableDistance::with_default(Ratio::ONE);
-        let c = Coreset::select(&u, &rels, &d, 5, 3);
+        let c = Coreset::select(&u, &rels, &d, 5, 3, Deadline::none()).unwrap();
         assert_eq!(c.indices(), &[0, 1, 2, 3, 4]);
     }
 
@@ -1294,16 +1305,15 @@ mod tests {
     #[test]
     fn streamed_inserts_keep_coverage_invariants() {
         let mut u = line_universe(40);
-        let mut pc = PreparedCoreset::build_shared(
+        let mut pc = prepare(
             u.clone(),
-            &REL,
-            dis(),
             Ratio::new(1, 2),
             &CoresetConfig::with_budget(10).with_threads(1),
+            usize::MAX,
         );
         for i in 0..25i64 {
             let t = Tuple::ints([200 + 17 * i, i % 5]);
-            pc.insert_tuple(t.clone(), REL.rel(&t));
+            pc.insert_tuple(t.clone(), REL.rel(&t)).unwrap();
             u.push(t);
             // Structural invariants after every insert.
             assert_eq!(pc.n(), u.len());
@@ -1335,15 +1345,89 @@ mod tests {
         }
     }
 
+    const NUMERIC: NumericDistance = NumericDistance {
+        attr: 0,
+        fallback: Ratio::ZERO,
+    };
+
+    /// Float distances are `NaN` for every pair involving a tuple whose
+    /// first attribute is 999; exact distances stay finite.
+    struct PoisonedDistance;
+
+    impl Distance for PoisonedDistance {
+        fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
+            NUMERIC.dist(a, b)
+        }
+
+        fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
+            let poisoned = |t: &Tuple| t.get(0).and_then(|v| v.as_int()) == Some(999);
+            if a != b && (poisoned(a) || poisoned(b)) {
+                f64::NAN
+            } else {
+                NUMERIC.dist_f64(a, b)
+            }
+        }
+    }
+
+    #[test]
+    fn insert_refuses_non_finite_distances_before_mutating() {
+        let cfg = CoresetConfig::with_budget(4).with_threads(1);
+        let poison = Tuple::ints([999, 1]);
+        // Budget full (absorb/displace branch), then budget open.
+        for select_over in [usize::MAX, 2] {
+            let mut pc = PreparedCoreset::build(
+                line_universe(12),
+                &REL,
+                Arc::new(PoisonedDistance),
+                Ratio::new(1, 2),
+                &cfg,
+                select_over,
+                Deadline::none(),
+            )
+            .unwrap();
+            let before = (pc.n(), pc.coreset().indices().to_vec(), pc.sub().n());
+            assert!(
+                matches!(
+                    pc.insert_tuple(poison.clone(), REL.rel(&poison)),
+                    Err(ServeError::NonFiniteScore {
+                        source: ScoreSource::Distance,
+                        ..
+                    })
+                ),
+                "select_over = {select_over}"
+            );
+            let after = (pc.n(), pc.coreset().indices().to_vec(), pc.sub().n());
+            assert_eq!(after, before, "select_over = {select_over}");
+        }
+        // A streamed build refuses the same tuple.
+        let mut u = line_universe(12);
+        u.push(poison);
+        let streamed = PreparedCoreset::build(
+            u,
+            &REL,
+            Arc::new(PoisonedDistance),
+            Ratio::new(1, 2),
+            &cfg,
+            4,
+            Deadline::none(),
+        );
+        assert!(matches!(
+            streamed.map(|p| p.n()),
+            Err(ServeError::NonFiniteScore {
+                source: ScoreSource::Distance,
+                ..
+            })
+        ));
+    }
+
     #[test]
     fn remove_tuple_reselects_like_scratch() {
         let mut u = line_universe(50);
-        let mut pc = PreparedCoreset::build_shared(
+        let mut pc = prepare(
             u.clone(),
-            &REL,
-            dis(),
             Ratio::new(1, 3),
             &CoresetConfig::with_budget(12).with_threads(1),
+            usize::MAX,
         );
         for r in [7usize, 0, 20] {
             pc.remove_tuple(r).unwrap();
@@ -1354,12 +1438,11 @@ mod tests {
             Err(crate::engine::DeltaError::IndexOutOfRange { index: 47, n: 47 })
         ));
         // Re-selection makes removal answer exactly like a fresh prepare.
-        let fresh = PreparedCoreset::build_shared(
+        let fresh = prepare(
             u,
-            &REL,
-            dis(),
             Ratio::new(1, 3),
             &CoresetConfig::with_budget(12).with_threads(1),
+            usize::MAX,
         );
         assert_eq!(pc.coreset().indices(), fresh.coreset().indices());
         let a = CoresetEngine::from_prepared(Arc::new(pc), 1);
@@ -1395,12 +1478,11 @@ mod tests {
     #[test]
     fn bytes_scale_with_m_squared_not_n_squared() {
         let n = 2000;
-        let cs = PreparedCoreset::build_shared(
+        let cs = prepare(
             line_universe(n),
-            &REL,
-            dis(),
             Ratio::new(1, 2),
             &CoresetConfig::with_budget(64),
+            usize::MAX,
         );
         // The full matrix alone would be n²·8 = 32 MB; the coreset
         // entry must be well under a tenth of that.

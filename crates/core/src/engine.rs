@@ -186,37 +186,32 @@ impl DistanceMatrix {
     /// unordered pair once and mirroring. Row construction is spread
     /// over `threads` workers (pass 1 to force a sequential build).
     pub fn build(universe: &[Tuple], dis: &(dyn Distance + Sync), threads: usize) -> Self {
-        Self::build_with_seed(universe, dis, threads, None).0
+        Self::build_with_seed(universe, dis, threads, None, Deadline::none())
+            .expect("unbounded deadline cannot be exceeded")
+            .0
     }
 
     /// [`DistanceMatrix::build`], optionally **fusing** the max-sum
-    /// best-partner seed scan into the row fill: right after a worker
-    /// finishes row `i`'s upper-triangle entries — while those 8·(n−i)
-    /// bytes are still cache-hot from being written — it scans the tail
-    /// for anchor `i`'s heaviest partner under [`ms_weight_f64`] with
+    /// best-partner seed scan into the row fill, under a cooperative
+    /// [`Deadline`].
+    ///
+    /// Fused seed: right after a worker finishes row `i`'s
+    /// upper-triangle entries — while those 8·(n−i) bytes are still
+    /// cache-hot from being written — it scans the tail for anchor
+    /// `i`'s heaviest partner under [`ms_weight_f64`] with
     /// `weights = (one_minus_lambda·rel, 2λ)`. A standalone seed pass
     /// would re-stream the whole `O(n²)` triangle from memory (measured
     /// at roughly the cost of one full eager greedy round); fused, it
     /// rides the build's own sweep for a few percent of extra compute.
-    pub(crate) fn build_with_seed(
-        universe: &[Tuple],
-        dis: &(dyn Distance + Sync),
-        threads: usize,
-        seed_weights: Option<(&[f64], f64, f64)>, // (rel_f, one_minus, lam)
-    ) -> (Self, Option<Vec<PairSeed>>) {
-        Self::try_build_with_seed(universe, dis, threads, seed_weights, Deadline::none())
-            .expect("unbounded deadline cannot be exceeded")
-    }
-
-    /// [`DistanceMatrix::build_with_seed`] under a cooperative
-    /// [`Deadline`], checked at **row boundaries**: each worker polls
-    /// the deadline (and a shared cancel flag, so one tripped worker
-    /// stops the rest) before filling the next row. A row is `O(n)`
-    /// work, so an abandoned build overshoots its deadline by at most
-    /// one row per worker. Returns `Err(ServeError::DeadlineExceeded)`
-    /// on abandonment — the partially filled matrix is dropped, never
+    ///
+    /// Deadline: checked at **row boundaries** — each worker polls the
+    /// deadline (and a shared cancel flag, so one tripped worker stops
+    /// the rest) before filling the next row. A row is `O(n)` work, so
+    /// an abandoned build overshoots its deadline by at most one row
+    /// per worker. Returns `Err(ServeError::DeadlineExceeded)` on
+    /// abandonment — the partially filled matrix is dropped, never
     /// observed.
-    pub(crate) fn try_build_with_seed(
+    pub(crate) fn build_with_seed(
         universe: &[Tuple],
         dis: &(dyn Distance + Sync),
         threads: usize,
@@ -952,8 +947,8 @@ impl Distance for DistOracle<'_> {
 /// Building one pays the full preparation cost exactly once; any number
 /// of engines (and, through `Arc`, any number of threads) can then solve
 /// against it concurrently. `PreparedUniverse<'static>` — produced by
-/// [`PreparedUniverse::build_shared`] — is `Send + Sync` and is the unit
-/// the serving registry caches and evicts.
+/// [`PreparedUniverse::build`] over a [`DistOracle::Shared`] oracle — is
+/// `Send + Sync` and is the unit the serving registry caches and evicts.
 pub struct PreparedUniverse<'a> {
     universe: Vec<Tuple>,
     dis: DistOracle<'a>,
@@ -1002,9 +997,41 @@ fn mono_score_from_dsum(one_minus: f64, lam: f64, rel: f64, dsum: f64, n: usize)
 /// — the cacheable unit of the serving layer.
 pub type SharedPrepared = Arc<PreparedUniverse<'static>>;
 
+/// Evaluates `δ_rel` over `universe` once, polling `deadline` every 64
+/// items so even an expensive relevance oracle cannot overshoot it by
+/// more than 64 evaluations. The one relevance pass every prepare path
+/// (full matrix and coreset) runs.
+pub(crate) fn score_relevance(
+    universe: &[Tuple],
+    rel: &dyn Relevance,
+    deadline: Deadline,
+) -> Result<Vec<Ratio>, ServeError> {
+    let mut rel_exact = Vec::with_capacity(universe.len());
+    for (i, t) in universe.iter().enumerate() {
+        if i.is_multiple_of(64) {
+            deadline.check()?;
+        }
+        rel_exact.push(rel.rel(t));
+    }
+    Ok(rel_exact)
+}
+
 impl<'a> PreparedUniverse<'a> {
     /// Prepares a universe: caches every relevance value and builds the
-    /// distance matrix over `threads` workers (1 = sequential).
+    /// distance matrix over `threads` workers (1 = sequential), under a
+    /// cooperative [`Deadline`]. The relevance pass polls it every 64
+    /// items and the `O(n²)` matrix build every row, so an expensive
+    /// prepare is abandoned within one `O(n)` slice of the deadline
+    /// with [`ServeError::DeadlineExceeded`] instead of running to
+    /// completion. A refused prepare leaves nothing behind — callers
+    /// (the serving cache) must not cache the error. With
+    /// [`Deadline::none`] it cannot fail.
+    ///
+    /// `dis` is borrowed ([`DistOracle::Borrowed`], the classic
+    /// [`Engine::new`] path) or owned and shareable
+    /// ([`DistOracle::Shared`]: the result borrows nothing, so it can be
+    /// cached, sent across threads and outlive the caller — the
+    /// serving-registry path).
     ///
     /// Panics if `λ ∉ [0, 1]` (same contract as
     /// [`DiversityProblem::new`](crate::problem::DiversityProblem::new)).
@@ -1014,31 +1041,26 @@ impl<'a> PreparedUniverse<'a> {
         dis: DistOracle<'a>,
         lambda: Ratio,
         threads: usize,
-    ) -> Self {
-        let rel_exact: Vec<Ratio> = universe.iter().map(|t| rel.rel(t)).collect();
-        Self::from_scores(universe, rel_exact, dis, lambda, threads)
+        deadline: Deadline,
+    ) -> Result<Self, ServeError> {
+        let rel_exact = score_relevance(&universe, rel, deadline)?;
+        Self::from_scores(universe, rel_exact, dis, lambda, threads, deadline)
     }
 
-    /// The single construction site: every `build*` entry point funnels
-    /// here, so the field set (including the memoized preambles) is
-    /// initialized in exactly one place.
-    fn from_scores(
-        universe: Vec<Tuple>,
-        rel_exact: Vec<Ratio>,
-        dis: DistOracle<'a>,
-        lambda: Ratio,
-        threads: usize,
-    ) -> Self {
-        Self::try_from_scores(universe, rel_exact, dis, lambda, threads, Deadline::none())
-            .expect("unbounded deadline cannot be exceeded")
-    }
-
-    /// [`PreparedUniverse::from_scores`] under a cooperative
-    /// [`Deadline`]: the `O(n²)` matrix build checks it at row
-    /// boundaries and the whole prepare is abandoned (nothing cached,
-    /// nothing observable) with [`ServeError::DeadlineExceeded`] once
-    /// it trips.
-    fn try_from_scores(
+    /// [`PreparedUniverse::build`] with the relevance values already
+    /// evaluated: `rel_exact[i]` must equal `δ_rel(universe[i])`.
+    ///
+    /// This is the constructor the coreset layer uses — it has already
+    /// scored every universe item once, and a coreset sub-universe must
+    /// reuse exactly those scores rather than re-dispatching through the
+    /// relevance oracle (identical values, but also no second pass over
+    /// a possibly expensive function). It is also the single
+    /// construction site: the field set (including the memoized
+    /// preambles) is initialized here and nowhere else.
+    ///
+    /// Panics if `λ ∉ [0, 1]` or if the score vector length does not
+    /// match the universe.
+    pub fn from_scores(
         universe: Vec<Tuple>,
         rel_exact: Vec<Ratio>,
         dis: DistOracle<'a>,
@@ -1066,10 +1088,10 @@ impl<'a> PreparedUniverse<'a> {
         let weights = Some((rel_f.as_slice(), one_minus, lam));
         let (matrix, seed) = match &dis {
             DistOracle::Borrowed(d) => {
-                DistanceMatrix::try_build_with_seed(&universe, *d, threads.max(1), weights, deadline)?
+                DistanceMatrix::build_with_seed(&universe, *d, threads.max(1), weights, deadline)?
             }
             DistOracle::Shared(d) => {
-                DistanceMatrix::try_build_with_seed(&universe, &**d, threads.max(1), weights, deadline)?
+                DistanceMatrix::build_with_seed(&universe, &**d, threads.max(1), weights, deadline)?
             }
         };
         let ms_seed = OnceLock::new();
@@ -1091,95 +1113,6 @@ impl<'a> PreparedUniverse<'a> {
             ms_seed,
             preamble_builds,
         })
-    }
-
-    /// [`PreparedUniverse::build`] over an owned, shareable oracle: the
-    /// result borrows nothing, so it can be cached, sent across threads,
-    /// and outlive the caller (the serving-registry construction path).
-    pub fn build_shared(
-        universe: Vec<Tuple>,
-        rel: &dyn Relevance,
-        dis: Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        threads: usize,
-    ) -> PreparedUniverse<'static> {
-        PreparedUniverse::build(universe, rel, DistOracle::Shared(dis), lambda, threads)
-    }
-
-    /// [`PreparedUniverse::build_shared`] with the relevance values
-    /// already evaluated: `rel_exact[i]` must equal `δ_rel(universe[i])`.
-    ///
-    /// This is the constructor the coreset layer uses — it has already
-    /// scored every universe item once, and a coreset sub-universe must
-    /// reuse exactly those scores rather than re-dispatching through the
-    /// relevance oracle (identical values, but also no second pass over
-    /// a possibly expensive function).
-    ///
-    /// Panics if `λ ∉ [0, 1]` or if the score vector length does not
-    /// match the universe.
-    pub fn build_shared_with_scores(
-        universe: Vec<Tuple>,
-        rel_exact: Vec<Ratio>,
-        dis: Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        threads: usize,
-    ) -> PreparedUniverse<'static> {
-        PreparedUniverse::from_scores(universe, rel_exact, DistOracle::Shared(dis), lambda, threads)
-    }
-
-    /// [`PreparedUniverse::build_shared`] under a cooperative
-    /// [`Deadline`]: the relevance pass checks it every item and the
-    /// `O(n²)` matrix build checks it every row, so an expensive
-    /// prepare is abandoned within one `O(n)` slice of the deadline
-    /// with [`ServeError::DeadlineExceeded`] instead of running to
-    /// completion. A refused prepare leaves nothing behind — callers
-    /// (the serving cache) must not cache the error.
-    pub fn try_build_shared_deadline(
-        universe: Vec<Tuple>,
-        rel: &dyn Relevance,
-        dis: Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<PreparedUniverse<'static>, ServeError> {
-        let mut rel_exact = Vec::with_capacity(universe.len());
-        for (i, t) in universe.iter().enumerate() {
-            // O(n) total; poll every 64 items so even an expensive
-            // relevance oracle cannot overshoot by more than 64 evals.
-            if i.is_multiple_of(64) {
-                deadline.check()?;
-            }
-            rel_exact.push(rel.rel(t));
-        }
-        PreparedUniverse::try_from_scores(
-            universe,
-            rel_exact,
-            DistOracle::Shared(dis),
-            lambda,
-            threads,
-            deadline,
-        )
-    }
-
-    /// [`PreparedUniverse::build_shared_with_scores`] under a
-    /// cooperative [`Deadline`] (see
-    /// [`PreparedUniverse::try_build_shared_deadline`]).
-    pub fn try_build_shared_with_scores_deadline(
-        universe: Vec<Tuple>,
-        rel_exact: Vec<Ratio>,
-        dis: Arc<dyn Distance + Send + Sync>,
-        lambda: Ratio,
-        threads: usize,
-        deadline: Deadline,
-    ) -> Result<PreparedUniverse<'static>, ServeError> {
-        PreparedUniverse::try_from_scores(
-            universe,
-            rel_exact,
-            DistOracle::Shared(dis),
-            lambda,
-            threads,
-            deadline,
-        )
     }
 
     /// Number of universe items.
@@ -1253,10 +1186,13 @@ impl<'a> PreparedUniverse<'a> {
     /// entries must be finite. A user-supplied oracle that emits `NaN`
     /// or `±∞` would otherwise silently mis-select (every `NaN`
     /// comparison is `false`, so a poisoned candidate can masquerade as
-    /// the maximum or hide from it); serving layers call this once at
-    /// prepare time and refuse the universe with the typed diagnosis
-    /// instead. `O(n²)` float compares — a few percent of the build
-    /// cost, and only ever paid when the universe is (re)prepared.
+    /// the maximum or hide from it);
+    /// [`PreparedVariant::build`](crate::pipeline::PreparedVariant::build)
+    /// calls this once at prepare time and refuses the universe with
+    /// the typed diagnosis instead. `O(n²)` float compares — a few
+    /// percent of the build cost, and only ever paid when the universe
+    /// is (re)prepared; deltas check only their new values
+    /// ([`PreparedUniverse::insert_tuple`]).
     pub fn check_finite(&self) -> Result<(), ServeError> {
         if let Some(i) = self.rel.iter().position(|r| !r.is_finite()) {
             return Err(ServeError::NonFiniteScore {
@@ -1294,9 +1230,19 @@ impl<'a> PreparedUniverse<'a> {
     /// index `n`, in `O(n)`: one oracle distance evaluation per
     /// existing item for the new matrix column, one in-place matrix
     /// row/column write, and an `O(n)` repair of every *populated*
-    /// memoized preamble. The repaired state is **bit-identical** to a
-    /// from-scratch prepare of the grown universe
-    /// (`tests/delta_matches_scratch.rs` pins this under churn):
+    /// memoized preamble.
+    ///
+    /// The new relevance and the new column are validated **before**
+    /// anything is mutated: a non-finite value refuses the insert with
+    /// the same [`ServeError::NonFiniteScore`] a cold
+    /// [`PreparedUniverse::check_finite`] of the grown universe would
+    /// report, and leaves this state untouched (the serving layers then
+    /// drop the entry, so the next serve re-prepares cold and gets that
+    /// refusal).
+    ///
+    /// The repaired state is **bit-identical** to a from-scratch
+    /// prepare of the grown universe (`tests/delta_matches_scratch.rs`
+    /// pins this under churn):
     ///
     /// * max-sum seed — appending index `n` at the end of each
     ///   anchor's left-to-right strict-`>` scan is exactly one more
@@ -1310,12 +1256,27 @@ impl<'a> PreparedUniverse<'a> {
     ///   seed, and the partition winner is compared exactly against the
     ///   memoized winner (lexicographically smaller pair on exact
     ///   ties — old pairs always precede new ones at equal anchors).
-    pub fn insert_tuple(&mut self, tuple: Tuple, rel: Ratio) {
+    pub fn insert_tuple(&mut self, tuple: Tuple, rel: Ratio) -> Result<(), ServeError> {
+        let n = self.universe.len();
         let rel_new = rel.to_f64();
+        if !rel_new.is_finite() {
+            return Err(ServeError::NonFiniteScore {
+                source: ScoreSource::Relevance,
+                i: n,
+                j: n,
+            });
+        }
         // The only oracle work of the whole operation: the new column
         // col[i] = δ_dis(universe[i], tuple).
         let mut col = Vec::new();
         self.dis.dist_col_f64(&self.universe, &tuple, &mut col);
+        if let Some(i) = col.iter().position(|d| !d.is_finite()) {
+            return Err(ServeError::NonFiniteScore {
+                source: ScoreSource::Distance,
+                i,
+                j: n,
+            });
+        }
         self.matrix.push_item(&col);
         self.repair_ms_seed_insert(&col, rel_new);
         self.repair_mono_insert(&col, rel_new);
@@ -1323,6 +1284,7 @@ impl<'a> PreparedUniverse<'a> {
         self.universe.push(tuple);
         self.rel_exact.push(rel);
         self.rel.push(rel_new);
+        Ok(())
     }
 
     /// Swap-removes the tuple at `index` in `O(n)` (the last item moves
@@ -1552,8 +1514,15 @@ impl<'a> Engine<'a> {
         threads: usize,
     ) -> Self {
         let threads = threads.max(1);
-        let prepared =
-            PreparedUniverse::build(universe, rel, DistOracle::Borrowed(dis), lambda, threads);
+        let prepared = PreparedUniverse::build(
+            universe,
+            rel,
+            DistOracle::Borrowed(dis),
+            lambda,
+            threads,
+            Deadline::none(),
+        )
+        .expect("unbounded deadline cannot be exceeded");
         Self::from_prepared(Arc::new(prepared), threads)
     }
 
@@ -2838,7 +2807,8 @@ mod tests {
     #[test]
     fn push_item_matches_fresh_build_through_restride() {
         let mut u = line_universe(3);
-        let (mut m, _) = DistanceMatrix::build_with_seed(&u, &DIS, 1, None);
+        let (mut m, _) =
+            DistanceMatrix::build_with_seed(&u, &DIS, 1, None, Deadline::none()).unwrap();
         // Push enough items to exhaust the headroom (pad(3) = 4) and
         // force at least one restride.
         for i in 0..9i64 {
@@ -2853,12 +2823,20 @@ mod tests {
     #[test]
     fn swap_remove_item_matches_fresh_build() {
         let mut u = line_universe(9);
-        let (mut m, _) = DistanceMatrix::build_with_seed(&u, &DIS, 1, None);
+        let (mut m, _) =
+            DistanceMatrix::build_with_seed(&u, &DIS, 1, None, Deadline::none()).unwrap();
         for r in [4usize, 0, 6, 0] {
             m.swap_remove_item(r);
             u.swap_remove(r);
             assert_matrix_bits_equal(&m, &DistanceMatrix::build(&u, &DIS, 1));
         }
+    }
+
+    /// A shareable prepared universe over the test oracles, built
+    /// sequentially with no deadline.
+    fn shared(u: Vec<Tuple>, lam: Ratio) -> PreparedUniverse<'static> {
+        let dis = DistOracle::Shared(Arc::new(DIS));
+        PreparedUniverse::build(u, &REL, dis, lam, 1, Deadline::none()).unwrap()
     }
 
     /// Drives all three objectives through a prepared universe so that
@@ -2875,26 +2853,19 @@ mod tests {
     fn insert_tuple_repairs_warm_preambles_bit_identically() {
         for lam in [Ratio::ZERO, Ratio::new(1, 2), Ratio::ONE] {
             let mut u = line_universe(10);
-            let mut prepared =
-                PreparedUniverse::build_shared(u.clone(), &REL, Arc::new(DIS), lam, 1);
+            let mut prepared = shared(u.clone(), lam);
             for step in 0..4i64 {
                 // Warm every preamble, then insert through the warm state.
                 let arc = Arc::new(prepared);
                 warm_all_preambles(&arc);
                 prepared = Arc::try_unwrap(arc).expect("sole owner");
                 let t = Tuple::ints([50 + 11 * step, step % 5]);
-                prepared.insert_tuple(t.clone(), REL.rel(&t));
+                prepared.insert_tuple(t.clone(), REL.rel(&t)).unwrap();
                 u.push(t);
 
                 // From-scratch prepare of the grown universe, preambles
                 // warmed the same way.
-                let scratch = Arc::new(PreparedUniverse::build_shared(
-                    u.clone(),
-                    &REL,
-                    Arc::new(DIS),
-                    lam,
-                    1,
-                ));
+                let scratch = Arc::new(shared(u.clone(), lam));
                 warm_all_preambles(&scratch);
 
                 assert_matrix_bits_equal(prepared.matrix(), scratch.matrix());
@@ -2914,7 +2885,7 @@ mod tests {
     fn remove_tuple_invalidates_then_serves_like_scratch() {
         let lam = Ratio::new(1, 2);
         let mut u = line_universe(12);
-        let mut prepared = PreparedUniverse::build_shared(u.clone(), &REL, Arc::new(DIS), lam, 1);
+        let mut prepared = shared(u.clone(), lam);
         {
             let arc = Arc::new(prepared);
             warm_all_preambles(&arc);
@@ -2945,8 +2916,7 @@ mod tests {
     #[test]
     fn serve_into_reports_infeasible_k_after_shrink() {
         let lam = Ratio::new(1, 2);
-        let mut prepared =
-            PreparedUniverse::build_shared(line_universe(4), &REL, Arc::new(DIS), lam, 1);
+        let mut prepared = shared(line_universe(4), lam);
         prepared.remove_tuple(0).unwrap();
         let e = Engine::from_prepared(Arc::new(prepared), 1);
         let req = EngineRequest { kind: ObjectiveKind::MaxSum, k: 4 };
@@ -2962,13 +2932,7 @@ mod tests {
     #[test]
     fn fork_preserves_preambles_and_serves_identically() {
         let lam = Ratio::new(1, 3);
-        let prepared = Arc::new(PreparedUniverse::build_shared(
-            line_universe(9),
-            &REL,
-            Arc::new(DIS),
-            lam,
-            1,
-        ));
+        let prepared = Arc::new(shared(line_universe(9), lam));
         warm_all_preambles(&prepared);
         let fork = Arc::new(prepared.fork());
         assert_eq!(fork.ms_preamble(), prepared.ms_preamble());

@@ -89,8 +89,8 @@ pub use engine::{
     ServeError, SharedPrepared, SolveScratch,
 };
 pub use pipeline::{
-    CheckedAnswer, PipelineError, PipelineResult, PreparedVariant, QueryDiversification,
-    ServedAnswer, SharedDistance, SharedRelevance,
+    CheckedAnswer, PipelineError, PipelineResult, PrepareMode, PreparedVariant,
+    QueryDiversification, ServedAnswer, SharedDistance, SharedRelevance,
 };
 pub use problem::{DiversityProblem, ObjectiveKind};
 pub use ratio::Ratio;
@@ -108,8 +108,8 @@ pub mod prelude {
         ConstantDistance, Distance, HammingDistance, NumericDistance, TableDistance,
     };
     pub use crate::engine::{
-        DeltaError, DeltaOp, Engine, EngineRequest, PreparedUniverse, ServeError, SharedPrepared,
-        SolveScratch,
+        DeltaError, DeltaOp, DistOracle, Engine, EngineRequest, PreparedUniverse, ServeError,
+        SharedPrepared, SolveScratch,
     };
     pub use crate::pipeline::QueryDiversification;
     pub use crate::problem::{DiversityProblem, ObjectiveKind};

@@ -15,8 +15,8 @@ use crate::coreset::{
 use crate::deadline::Deadline;
 use crate::distance::Distance;
 use crate::engine::{
-    default_threads, Engine, EngineRequest, PreparedUniverse, ServeError, SharedPrepared,
-    SolveScratch,
+    default_threads, DistOracle, Engine, EngineRequest, PreparedUniverse, ServeError,
+    SharedPrepared, SolveScratch,
 };
 use crate::problem::{DiversityProblem, ObjectiveKind};
 use crate::ratio::Ratio;
@@ -43,6 +43,9 @@ pub enum PipelineError {
     /// A set passed to DRP is not a candidate set: wrong size, duplicate
     /// tuples, or tuples outside `Q(D)`.
     NotACandidateSet,
+    /// The universe was refused at prepare — an oracle emitted a
+    /// non-finite float ([`ServeError::NonFiniteScore`]).
+    Serve(ServeError),
 }
 
 impl fmt::Display for PipelineError {
@@ -52,6 +55,7 @@ impl fmt::Display for PipelineError {
             PipelineError::NotACandidateSet => {
                 write!(f, "the given set is not a candidate set for (Q, D, k)")
             }
+            PipelineError::Serve(e) => write!(f, "serve error: {e}"),
         }
     }
 }
@@ -79,6 +83,25 @@ pub type ServedAnswer = Option<(Ratio, Vec<Tuple>)>;
 /// [`ServeError::NonFiniteScore`]) — the form a network front-end maps
 /// to wire status codes.
 pub type CheckedAnswer = Result<(Ratio, Vec<usize>), ServeError>;
+
+/// How [`PreparedVariant::build`] prepares a universe.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PrepareMode {
+    /// The full `n × n` matrix ([`PreparedUniverse::build`]).
+    Full,
+    /// The coreset path ([`PreparedCoreset::build`]): select `config`'s
+    /// budget over the first `select_over` tuples, stream the rest
+    /// through the incremental insert. `usize::MAX` selects over the
+    /// whole universe; `config.budget` streams everything past an
+    /// identity seed. `config.threads` sizes this mode's scans and
+    /// `m × m` build.
+    Coreset {
+        /// Sizing, refinement and thread knobs.
+        config: CoresetConfig,
+        /// How many leading tuples the selection sees.
+        select_over: usize,
+    },
+}
 
 /// Prepared serving state for one universe: the full `n × n`
 /// [`PreparedUniverse`] (small universes; answers match the `Ratio`-path
@@ -144,17 +167,57 @@ impl PreparedVariant {
         }
     }
 
-    /// Validates every cached float in this prepared state (relevance
-    /// caches and the distance matrix — full `n × n` or coreset
-    /// `m × m`): `Ok` iff none is `NaN`/`±∞`. Checked prepare paths run
-    /// this once per build so non-finite oracle output is a typed
-    /// refusal ([`ServeError::NonFiniteScore`]) instead of a silently
+    /// Prepares `tuples` in `mode` — the one full/coreset dispatch every
+    /// serving layer (registry, query front door, recovery, the
+    /// pipeline's auto-escalation) goes through — and validates the
+    /// result: every cached float (relevance caches and the distance
+    /// matrix, full `n × n` or coreset `m × m`) must be finite, so
+    /// non-finite oracle output is a typed refusal
+    /// ([`ServeError::NonFiniteScore`]) instead of a silently
     /// mis-selected answer set.
-    pub fn check_finite(&self) -> Result<(), ServeError> {
-        match self {
-            PreparedVariant::Full(p) => p.check_finite(),
-            PreparedVariant::Coreset(p) => p.check_finite(),
-        }
+    ///
+    /// `threads` sizes the full-matrix build; coreset mode uses its
+    /// config's thread count. The build polls the cooperative
+    /// [`Deadline`] at row / iteration / insert boundaries and is
+    /// abandoned with [`ServeError::DeadlineExceeded`] once it trips. A
+    /// refused build must never be cached. With [`Deadline::none`] and
+    /// finite oracles it cannot fail.
+    ///
+    /// Panics if `λ ∉ [0, 1]`.
+    pub fn build(
+        tuples: impl IntoIterator<Item = Tuple>,
+        rel: &dyn Relevance,
+        dis: Arc<dyn Distance + Send + Sync>,
+        lambda: Ratio,
+        mode: PrepareMode,
+        threads: usize,
+        deadline: Deadline,
+    ) -> Result<PreparedVariant, ServeError> {
+        Ok(match mode {
+            PrepareMode::Full => {
+                let universe = tuples.into_iter().collect();
+                let dis = DistOracle::Shared(dis);
+                let p = PreparedUniverse::build(universe, rel, dis, lambda, threads, deadline)?;
+                p.check_finite()?;
+                PreparedVariant::Full(Arc::new(p))
+            }
+            PrepareMode::Coreset {
+                config,
+                select_over,
+            } => {
+                let p = PreparedCoreset::build(
+                    tuples,
+                    rel,
+                    dis,
+                    lambda,
+                    &config,
+                    select_over,
+                    deadline,
+                )?;
+                p.check_finite()?;
+                PreparedVariant::Coreset(Arc::new(p))
+            }
+        })
     }
 
     /// Serves one request against this prepared state with `threads`
@@ -266,97 +329,68 @@ impl QueryDiversification {
         ))
     }
 
-    /// Evaluates `Q(D)` once and builds the owned, shareable
-    /// [`PreparedUniverse`] over it: relevance values cached, the
-    /// `O(n²)` distance matrix built (in parallel), and the exact
-    /// distance oracle captured by `Arc` — so the result borrows
-    /// nothing from this task and can be handed to the serving
-    /// registry, cached, or sent across threads.
-    pub fn prepare_universe(&self) -> PipelineResult<SharedPrepared> {
-        let result = self.query.eval(&self.db)?;
-        Ok(Arc::new(PreparedUniverse::build_shared(
-            result.tuples().to_vec(),
-            &*self.rel,
-            self.dis.clone(),
-            self.lambda,
-            default_threads(),
-        )))
-    }
-
     /// Evaluates `Q(D)` once and prepares the batch [`Engine`] over the
-    /// materialized universe: the `O(n²)` distance matrix is built here
-    /// (in parallel), after which any number of `(objective, k)`
-    /// requests are served against it without touching the database,
-    /// the query evaluator, or the `Ratio` distance oracle again.
+    /// materialized universe: relevance values cached, the `O(n²)`
+    /// distance matrix built (in parallel), and the exact distance
+    /// oracle captured by `Arc` — so the engine borrows nothing from
+    /// this task. Any number of `(objective, k)` requests are then
+    /// served against it without touching the database, the query
+    /// evaluator, or the `Ratio` distance oracle again.
     ///
     /// This is the serving path; [`QueryDiversification::prepare`] is
     /// the exact analysis path. The engine's heuristic answers match the
     /// `Ratio`-path heuristics of [`crate::approx`] up to equal-score
-    /// ties (see [`crate::engine`] for the exactness contract). This is
-    /// now a thin wrapper: [`QueryDiversification::prepare_universe`]
-    /// does the heavy lifting and [`Engine::from_prepared`] is free.
+    /// ties (see [`crate::engine`] for the exactness contract).
     pub fn prepare_engine(&self) -> PipelineResult<Engine<'static>> {
-        Ok(Engine::from_prepared(
-            self.prepare_universe()?,
-            default_threads(),
-        ))
-    }
-
-    /// Evaluates `Q(D)` once and prepares the **coreset** serving path
-    /// over it: `m = config.budget` representatives selected in
-    /// `O(n·m)` distance evaluations, an `m × m` matrix — and no
-    /// `n × n` allocation anywhere. This is the only preparation route
-    /// that works for universes whose full matrix cannot be allocated
-    /// (`n ≈ 50 000` needs ~20 GB); see [`crate::coreset`] for the
-    /// quality contract.
-    pub fn prepare_coreset(&self, config: &CoresetConfig) -> PipelineResult<CoresetEngine> {
         let result = self.query.eval(&self.db)?;
-        let threads = config.threads.max(1);
-        Ok(CoresetEngine::from_prepared(
-            Arc::new(PreparedCoreset::build_shared(
-                result.tuples().to_vec(),
-                &*self.rel,
-                self.dis.clone(),
-                self.lambda,
-                config,
-            )),
-            threads,
-        ))
+        let prepared = PreparedUniverse::build(
+            result.tuples().to_vec(),
+            &*self.rel,
+            DistOracle::Shared(self.dis.clone()),
+            self.lambda,
+            default_threads(),
+            Deadline::none(),
+        )
+        .expect("unbounded deadline cannot be exceeded");
+        Ok(Engine::from_prepared(Arc::new(prepared), default_threads()))
     }
 
     /// Prepares the right state for the universe's size: the
     /// full-matrix [`PreparedUniverse`] when `|Q(D)| ≤`
     /// [`CORESET_AUTO_THRESHOLD`], otherwise the coreset path sized for
-    /// result sizes up to `max_k` ([`CoresetConfig::recommended`]). This
-    /// is the auto-escalation rule behind
-    /// [`QueryDiversification::serve_batch`].
+    /// result sizes up to `max_k` ([`CoresetConfig::recommended`]),
+    /// selected over the whole universe. This is the auto-escalation
+    /// rule behind [`QueryDiversification::serve_batch`]. A universe
+    /// whose oracles emit a non-finite float is refused with
+    /// [`PipelineError::Serve`] (see [`PreparedVariant::build`]).
     pub fn prepare_adaptive(&self, max_k: usize) -> PipelineResult<PreparedVariant> {
         let result = self.query.eval(&self.db)?;
-        let universe: Vec<Tuple> = result.tuples().to_vec();
-        if universe.len() <= CORESET_AUTO_THRESHOLD {
-            let prepared = PreparedUniverse::build_shared(
-                universe,
-                &*self.rel,
-                self.dis.clone(),
-                self.lambda,
-                default_threads(),
-            );
-            return Ok(PreparedVariant::Full(Arc::new(prepared)));
-        }
-        let config = CoresetConfig::recommended(max_k.max(self.k));
-        let prepared = PreparedCoreset::build_shared(
-            universe,
+        let universe = result.tuples();
+        let mode = if universe.len() <= CORESET_AUTO_THRESHOLD {
+            PrepareMode::Full
+        } else {
+            PrepareMode::Coreset {
+                config: CoresetConfig::recommended(max_k.max(self.k)),
+                select_over: usize::MAX,
+            }
+        };
+        PreparedVariant::build(
+            universe.to_vec(),
             &*self.rel,
             self.dis.clone(),
             self.lambda,
-            &config,
-        );
-        Ok(PreparedVariant::Coreset(Arc::new(prepared)))
+            mode,
+            default_threads(),
+            Deadline::none(),
+        )
+        .map_err(PipelineError::Serve)
     }
 
     /// Serves a whole batch of `(objective, k)` requests: prepare once,
     /// answer many. Each answer is the **exact** objective value with
     /// the chosen tuples, or `None` when `|Q(D)| < k` for that request.
+    /// A universe refused at prepare fails the whole batch with
+    /// [`PipelineError::Serve`].
     ///
     /// Preparation auto-escalates by universe size
     /// ([`QueryDiversification::prepare_adaptive`]): up to
@@ -366,10 +400,9 @@ impl QueryDiversification {
     /// answers re-scored exactly against the full universe.
     ///
     /// For a long-lived engine (e.g. a query front-end serving traffic),
-    /// call [`QueryDiversification::prepare_engine`],
-    /// [`QueryDiversification::prepare_coreset`], or
+    /// call [`QueryDiversification::prepare_engine`] or
     /// [`QueryDiversification::prepare_adaptive`] once and keep the
-    /// engine instead.
+    /// prepared state instead.
     ///
     /// # Example
     ///
@@ -527,6 +560,10 @@ mod tests {
     use divr_relquery::Value;
 
     fn setup() -> QueryDiversification {
+        setup_with(Box::new(HammingDistance::default()))
+    }
+
+    fn setup_with(dis: SharedDistance) -> QueryDiversification {
         let mut db = Database::new();
         db.create_relation("items", &["id", "cat", "score"]).unwrap();
         for (id, cat, score) in [
@@ -551,10 +588,54 @@ mod tests {
                 attr: 2,
                 default: Ratio::ZERO,
             }),
-            Box::new(HammingDistance::default()),
+            dis,
             Ratio::new(1, 2),
             3,
         )
+    }
+
+    /// Exact distances finite, float fast path `NaN`.
+    struct NanDistance;
+
+    impl Distance for NanDistance {
+        fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
+            if a == b {
+                Ratio::ZERO
+            } else {
+                Ratio::ONE
+            }
+        }
+
+        fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
+            if a == b {
+                0.0
+            } else {
+                f64::NAN
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_universe_is_a_typed_refusal() {
+        use crate::engine::ScoreSource;
+        let task = setup_with(Box::new(NanDistance));
+        let refused = |e: &PipelineError| {
+            matches!(
+                e,
+                PipelineError::Serve(ServeError::NonFiniteScore {
+                    source: ScoreSource::Distance,
+                    ..
+                })
+            )
+        };
+        let adaptive = task.prepare_adaptive(3).expect_err("refused");
+        assert!(refused(&adaptive), "{adaptive}");
+        let requests: Vec<EngineRequest> = ObjectiveKind::ALL
+            .into_iter()
+            .map(|kind| EngineRequest { kind, k: 3 })
+            .collect();
+        let batch = task.serve_batch(&requests).expect_err("refused");
+        assert!(refused(&batch), "{batch}");
     }
 
     #[test]

@@ -762,10 +762,7 @@ impl Durability {
     /// A query became warm at the front door (miss path only; hits
     /// must not pay the O(n) sequence copy).
     pub(crate) fn log_warm_query(&self, db: &str, spec: &QuerySpec, prepared: &PreparedVariant) {
-        let universe: Vec<Tuple> = match prepared {
-            PreparedVariant::Full(p) => p.universe().to_vec(),
-            PreparedVariant::Coreset(p) => p.universe().to_vec(),
-        };
+        let universe: Vec<Tuple> = prepared.universe().to_vec();
         let kind = match prepared {
             PreparedVariant::Full(_) => WarmKind::Full,
             PreparedVariant::Coreset(_) if spec.coreset().is_some() => WarmKind::CoresetExplicit,

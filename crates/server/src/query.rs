@@ -23,9 +23,12 @@
 //!
 //! Evaluation streams: the CQ evaluator's pull iterator feeds
 //! preparation directly. Universes at or under the auto-escalation
-//! threshold build the exact full matrix; larger ones flow into
-//! [`PreparedCoreset::build_streaming`] without `Q(D)` ever being
+//! threshold build the exact full matrix; larger ones stream into a
+//! coreset ([`PreparedCoreset::build`] over an identity seed of the
+//! budget, every later tuple inserted) without `Q(D)` ever being
 //! materialized as a separate vector.
+//!
+//! [`PreparedCoreset::build`]: divr_core::coreset::PreparedCoreset::build
 //!
 //! Base-table inserts route through the delta machinery:
 //! [`QueryFrontDoor::insert_base_tuple`] computes each affected warm
@@ -39,8 +42,9 @@ use crate::cache::PreparedCache;
 use crate::fingerprint::UniverseKey;
 use crate::registry::{CheckedAnswer, Registry};
 use crate::spec::{CoresetSpec, OracleAdapter, PreparedVariant, ServableDistance, ServableRelevance};
-use divr_core::coreset::{CoresetConfig, PreparedCoreset, CORESET_AUTO_THRESHOLD};
-use divr_core::engine::{DeltaOp, EngineRequest, PreparedUniverse, ServeError, SolveScratch};
+use divr_core::coreset::{CoresetConfig, CORESET_AUTO_THRESHOLD};
+use divr_core::engine::{DeltaOp, EngineRequest, ServeError, SolveScratch};
+use divr_core::pipeline::PrepareMode;
 use divr_core::{ByteWriter, Deadline, Ratio};
 use divr_relquery::{delta_results, stream_query, CanonicalQuery, Database, Query, Tuple, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -206,9 +210,16 @@ impl QuerySpec {
         CoresetConfig::recommended(self.max_k).budget
     }
 
-    /// The auto-escalation coreset configuration.
-    fn auto_config(&self, threads: usize) -> CoresetConfig {
-        CoresetConfig::recommended(self.max_k).with_threads(threads)
+    /// The auto-escalation mode for a universe past the threshold: an
+    /// identity coreset over the first [`QuerySpec::auto_budget`]
+    /// tuples, every later tuple streamed through the incremental
+    /// insert.
+    fn streamed_mode(&self, threads: usize) -> PrepareMode {
+        let config = CoresetConfig::recommended(self.max_k).with_threads(threads);
+        PrepareMode::Coreset {
+            config,
+            select_over: config.budget,
+        }
     }
 }
 
@@ -349,7 +360,7 @@ impl QueryFrontDoor {
         match spec.coreset {
             None => {
                 enc.write_str("mode:auto");
-                enc.write_usize(spec.auto_config(1).budget);
+                enc.write_usize(spec.auto_budget());
             }
             Some(cs) => {
                 enc.write_str("mode:coreset");
@@ -371,33 +382,17 @@ impl QueryFrontDoor {
         deadline: Deadline,
     ) -> Result<PreparedVariant, QueryError> {
         let mut stream = stream_query(db, &spec.query)?;
-        let dis: Arc<dyn divr_core::distance::Distance + Send + Sync> =
-            Arc::new(OracleAdapter(spec.dis.clone()));
-        let prepared = match spec.coreset {
-            Some(mode) => {
+        let (head, mode) = match spec.coreset {
+            Some(cs) => {
                 // Explicit coreset mode materializes, for bit-identity
                 // with the UniverseSpec path (Coreset::select over the
                 // whole universe, not the insertion stream).
-                let universe: Vec<Tuple> = stream.collect();
-                if universe.is_empty() {
-                    return Err(QueryError::EmptyResult);
-                }
-                let config = CoresetConfig {
-                    budget: mode.budget,
-                    refine_rounds: mode.refine_rounds,
-                    threads,
+                let universe: Vec<Tuple> = stream.by_ref().collect();
+                let mode = PrepareMode::Coreset {
+                    config: cs.config(threads),
+                    select_over: usize::MAX,
                 };
-                PreparedVariant::Coreset(Arc::new(
-                    PreparedCoreset::try_build_shared_deadline(
-                        universe,
-                        &*spec.rel,
-                        dis,
-                        spec.lambda,
-                        &config,
-                        deadline,
-                    )
-                    .map_err(QueryError::Serve)?,
-                ))
+                (universe, mode)
             }
             None => {
                 // Pull until we know which side of the threshold this
@@ -415,42 +410,30 @@ impl QueryFrontDoor {
                         None => break,
                     }
                 }
-                if head.is_empty() {
-                    return Err(QueryError::EmptyResult);
-                }
-                if head.len() <= CORESET_AUTO_THRESHOLD {
-                    PreparedVariant::Full(Arc::new(
-                        PreparedUniverse::try_build_shared_deadline(
-                            head,
-                            &*spec.rel,
-                            dis,
-                            spec.lambda,
-                            threads,
-                            deadline,
-                        )
-                        .map_err(QueryError::Serve)?,
-                    ))
+                // Above threshold, the rest of the evaluation flows
+                // straight into coreset maintenance — Q(D) is never a
+                // second vector.
+                let mode = if head.len() <= CORESET_AUTO_THRESHOLD {
+                    PrepareMode::Full
                 } else {
-                    // Above threshold: the rest of the evaluation flows
-                    // straight into coreset maintenance — Q(D) is never
-                    // a second vector.
-                    let config = spec.auto_config(threads);
-                    PreparedVariant::Coreset(Arc::new(
-                        PreparedCoreset::try_build_streaming_deadline(
-                            head.into_iter().chain(stream),
-                            &*spec.rel,
-                            dis,
-                            spec.lambda,
-                            &config,
-                            deadline,
-                        )
-                        .map_err(QueryError::Serve)?,
-                    ))
-                }
+                    spec.streamed_mode(threads)
+                };
+                (head, mode)
             }
         };
-        prepared.check_finite().map_err(QueryError::Serve)?;
-        Ok(prepared)
+        if head.is_empty() {
+            return Err(QueryError::EmptyResult);
+        }
+        PreparedVariant::build(
+            head.into_iter().chain(stream),
+            &*spec.rel,
+            Arc::new(OracleAdapter(spec.dis.clone())),
+            spec.lambda,
+            mode,
+            threads,
+            deadline,
+        )
+        .map_err(QueryError::Serve)
     }
 
     /// Serves a batch of requests for one query — evaluate + prepare on
@@ -603,10 +586,7 @@ impl QueryFrontDoor {
             };
             let fresh = match delta_results(&dbst.db, &w.spec.query, relation, &tuple) {
                 Ok(Some(candidates)) => {
-                    let existing: HashSet<&Tuple> = match &prepared {
-                        PreparedVariant::Full(p) => p.universe().iter().collect(),
-                        PreparedVariant::Coreset(p) => p.universe().iter().collect(),
-                    };
+                    let existing: HashSet<&Tuple> = prepared.universe().iter().collect();
                     let mut fresh: Vec<Tuple> = Vec::new();
                     for c in candidates {
                         if !existing.contains(&c) && !fresh.contains(&c) {
@@ -625,15 +605,13 @@ impl QueryFrontDoor {
                 // untouched (no version bump: no delta was applied).
                 prepared
             } else {
-                match prepared {
+                let inserted = match prepared {
                     PreparedVariant::Full(arc) => {
                         let mut p = Arc::try_unwrap(arc).unwrap_or_else(|a| a.fork());
-                        for t in &fresh {
-                            let rel = w.spec.rel.rel(t);
-                            p.insert_tuple(t.clone(), rel);
-                            log.push(DeltaOp::Insert(t.clone()));
-                        }
-                        PreparedVariant::Full(Arc::new(p))
+                        fresh
+                            .iter()
+                            .try_for_each(|t| p.insert_tuple(t.clone(), w.spec.rel.rel(t)))
+                            .map(|()| PreparedVariant::Full(Arc::new(p)))
                     }
                     PreparedVariant::Coreset(arc) => {
                         // The streamed-coreset contract is determinism
@@ -643,14 +621,20 @@ impl QueryFrontDoor {
                         let Ok(mut p) = Arc::try_unwrap(arc) else {
                             continue;
                         };
-                        for t in &fresh {
-                            let rel = w.spec.rel.rel(t);
-                            p.insert_tuple(t.clone(), rel);
-                            log.push(DeltaOp::Insert(t.clone()));
-                        }
-                        PreparedVariant::Coreset(Arc::new(p))
+                        fresh
+                            .iter()
+                            .try_for_each(|t| p.insert_tuple(t.clone(), w.spec.rel.rel(t)))
+                            .map(|()| PreparedVariant::Coreset(Arc::new(p)))
                     }
-                }
+                };
+                // A refused insert (a non-finite score) is not
+                // re-inserted: the entry goes cold, and the next serve
+                // re-prepares and gets the typed refusal.
+                let Ok(migrated) = inserted else {
+                    continue;
+                };
+                log.extend(fresh.iter().cloned().map(DeltaOp::Insert));
+                migrated
             };
             self.cache()
                 .insert_versioned(&new_key, migrated, version + count, log);
@@ -756,10 +740,7 @@ impl QueryFrontDoor {
             let mut doomed: Vec<Tuple> = Vec::new();
             let mut broken = false;
             {
-                let universe: &[Tuple] = match &prepared {
-                    PreparedVariant::Full(p) => p.universe(),
-                    PreparedVariant::Coreset(p) => p.universe(),
-                };
+                let universe = prepared.universe();
                 for c in candidates {
                     if doomed.contains(&c) || !universe.contains(&c) {
                         continue;
@@ -839,8 +820,6 @@ impl QueryFrontDoor {
             return Err(QueryError::EmptyResult);
         }
         let threads = self.registry.solve_threads();
-        let dis: Arc<dyn divr_core::distance::Distance + Send + Sync> =
-            Arc::new(OracleAdapter(spec.dis.clone()));
         let mut state = self.write_state();
         let dbst = state
             .get_mut(db)
@@ -852,58 +831,24 @@ impl QueryFrontDoor {
                 .or_insert_with(|| WarmQuery { spec: spec.clone() });
             return Ok(());
         }
-        let prepared = match spec.coreset {
-            Some(mode) => {
-                let config = CoresetConfig {
-                    budget: mode.budget,
-                    refine_rounds: mode.refine_rounds,
-                    threads,
-                };
-                let base_len = base_len.min(universe.len());
-                let mut universe = universe;
-                let tail = universe.split_off(base_len);
-                let mut p = PreparedCoreset::try_build_shared_deadline(
-                    universe,
-                    &*spec.rel,
-                    dis,
-                    spec.lambda,
-                    &config,
-                    Deadline::none(),
-                )
-                .map_err(QueryError::Serve)?;
-                for t in tail {
-                    let rel = spec.rel.rel(&t);
-                    p.insert_tuple(t, rel);
-                }
-                PreparedVariant::Coreset(Arc::new(p))
-            }
-            None if streamed => {
-                let config = spec.auto_config(threads);
-                PreparedVariant::Coreset(Arc::new(
-                    PreparedCoreset::try_build_streaming_deadline(
-                        universe,
-                        &*spec.rel,
-                        dis,
-                        spec.lambda,
-                        &config,
-                        Deadline::none(),
-                    )
-                    .map_err(QueryError::Serve)?,
-                ))
-            }
-            None => PreparedVariant::Full(Arc::new(
-                PreparedUniverse::try_build_shared_deadline(
-                    universe,
-                    &*spec.rel,
-                    dis,
-                    spec.lambda,
-                    threads,
-                    Deadline::none(),
-                )
-                .map_err(QueryError::Serve)?,
-            )),
+        let mode = match spec.coreset {
+            Some(cs) => PrepareMode::Coreset {
+                config: cs.config(threads),
+                select_over: base_len,
+            },
+            None if streamed => spec.streamed_mode(threads),
+            None => PrepareMode::Full,
         };
-        prepared.check_finite().map_err(QueryError::Serve)?;
+        let prepared = PreparedVariant::build(
+            universe,
+            &*spec.rel,
+            Arc::new(OracleAdapter(spec.dis.clone())),
+            spec.lambda,
+            mode,
+            threads,
+            Deadline::none(),
+        )
+        .map_err(QueryError::Serve)?;
         // Empty delta log: the restored entry is equivalent to a cold
         // prepare of its current content; the version survives for
         // observability and future migrations.

@@ -474,9 +474,12 @@ impl Registry {
     /// never pays the `O(n²)` cold prepare again for a small edit, and
     /// the migrated entry serves **bit-identically** to a cold prepare
     /// of the mutated universe (coreset-mode entries are re-prepared in
-    /// `O(n·m)` to keep that same invariant). If `spec` is cold, only
-    /// the spec is mutated; the next serve prepares from scratch at
-    /// version `0`.
+    /// `O(n·m)` to keep that same invariant). A migration that fails —
+    /// an inserted tuple with a non-finite score, a refused coreset
+    /// rebuild — is not re-inserted: the entry goes cold, so the next
+    /// serve gets exactly the refusal a cold prepare gives. If `spec`
+    /// is cold, only the spec is mutated; the next serve prepares from
+    /// scratch at version `0`.
     ///
     /// Because entries are keyed by mutated *content*, a delta chain and
     /// a flat spec of the same tuples address the same entry — there is
@@ -502,17 +505,17 @@ impl Registry {
                     // still in flight on the old state): fork first —
                     // the in-flight engine keeps the old immutable
                     // state, we mutate the copy.
+                    // An insert with a non-finite score is refused
+                    // before anything is patched.
                     let mut p = Arc::try_unwrap(arc).unwrap_or_else(|a| a.fork());
                     match op {
-                        DeltaOp::Insert(t) => {
-                            let rel = spec.relevance().rel(t);
-                            p.insert_tuple(t.clone(), rel);
-                        }
+                        DeltaOp::Insert(t) => p.insert_tuple(t.clone(), spec.relevance().rel(t)),
                         DeltaOp::Remove(i) => {
                             p.remove_tuple(*i).expect("index validated by spec.apply");
+                            Ok(())
                         }
                     }
-                    Ok(PreparedVariant::Full(Arc::new(p)))
+                    .map(|()| PreparedVariant::Full(Arc::new(p)))
                 }
                 // Streaming coreset maintenance trades bit-identity for
                 // speed (see divr_core::coreset); the registry's

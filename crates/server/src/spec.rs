@@ -2,9 +2,10 @@
 //! description of one QRD universe.
 
 use crate::fingerprint::{Fingerprintable, UniverseKey};
-use divr_core::coreset::{CoresetConfig, PreparedCoreset};
+use divr_core::coreset::CoresetConfig;
 use divr_core::distance::Distance;
-use divr_core::engine::{DeltaError, DeltaOp, PreparedUniverse, ServeError};
+use divr_core::engine::{DeltaError, DeltaOp, DistOracle, PreparedUniverse, ServeError};
+use divr_core::pipeline::PrepareMode;
 use divr_core::relevance::Relevance;
 use divr_core::{ByteWriter, Deadline, Ratio, SharedPrepared};
 use divr_relquery::Tuple;
@@ -67,6 +68,16 @@ impl CoresetSpec {
         CoresetSpec {
             budget,
             refine_rounds: 0,
+        }
+    }
+
+    /// The core coreset configuration for this mode, with `threads`
+    /// selection / matrix-build workers.
+    pub fn config(&self, threads: usize) -> CoresetConfig {
+        CoresetConfig {
+            budget: self.budget,
+            refine_rounds: self.refine_rounds,
+            threads,
         }
     }
 }
@@ -208,60 +219,51 @@ impl UniverseSpec {
     /// it); the registry itself prepares through
     /// [`UniverseSpec::try_prepare_variant`], which honors the mode.
     pub fn prepare(&self, threads: usize) -> SharedPrepared {
-        Arc::new(PreparedUniverse::build_shared(
+        let prepared = PreparedUniverse::build(
             self.universe.clone(),
             &*self.rel,
-            Arc::new(OracleAdapter(self.dis.clone())),
+            DistOracle::Shared(Arc::new(OracleAdapter(self.dis.clone()))),
             self.lambda,
             threads,
-        ))
+            Deadline::none(),
+        )
+        .expect("unbounded deadline cannot be exceeded");
+        Arc::new(prepared)
     }
 
     /// Prepares this spec the way the registry caches it — full-matrix
-    /// state for plain specs, coreset state (no `n × n` allocation) when
+    /// state for plain specs, coreset state selected over the whole
+    /// universe (no `n × n` allocation) when
     /// [`UniverseSpec::with_coreset`] was set — under a cooperative
-    /// [`Deadline`], then validates it. The `O(n²)` (or `O(n·m)`) build
-    /// polls the deadline at row / iteration boundaries and is abandoned
-    /// with [`ServeError::DeadlineExceeded`] once it trips; a universe
-    /// whose oracles emitted a non-finite float is refused with
+    /// [`Deadline`], validated, through [`PreparedVariant::build`]: a
+    /// build whose deadline trips fails with
+    /// [`ServeError::DeadlineExceeded`], and a universe whose oracles
+    /// emitted a non-finite float is refused with
     /// [`ServeError::NonFiniteScore`] before it can reach the argmax
-    /// rounds, where `NaN` comparisons would silently mis-select. A
-    /// refused build must never be cached (the registry's cache only
-    /// inserts `Ok` results). With [`Deadline::none`] the result is
-    /// bit-identical to an unbounded build.
+    /// rounds. A refused build must never be cached (the registry's
+    /// cache only inserts `Ok` results). With [`Deadline::none`] the
+    /// result is bit-identical to an unbounded build.
     pub fn try_prepare_variant(
         &self,
         threads: usize,
         deadline: Deadline,
     ) -> Result<PreparedVariant, ServeError> {
-        let dis = Arc::new(OracleAdapter(self.dis.clone()));
-        let prepared = match self.coreset {
-            None => PreparedVariant::Full(Arc::new(PreparedUniverse::try_build_shared_deadline(
-                self.universe.clone(),
-                &*self.rel,
-                dis,
-                self.lambda,
-                threads,
-                deadline,
-            )?)),
-            Some(mode) => {
-                let config = CoresetConfig {
-                    budget: mode.budget,
-                    refine_rounds: mode.refine_rounds,
-                    threads,
-                };
-                PreparedVariant::Coreset(Arc::new(PreparedCoreset::try_build_shared_deadline(
-                    self.universe.clone(),
-                    &*self.rel,
-                    dis,
-                    self.lambda,
-                    &config,
-                    deadline,
-                )?))
-            }
+        let mode = match self.coreset {
+            None => PrepareMode::Full,
+            Some(cs) => PrepareMode::Coreset {
+                config: cs.config(threads),
+                select_over: usize::MAX,
+            },
         };
-        prepared.check_finite()?;
-        Ok(prepared)
+        PreparedVariant::build(
+            self.universe.clone(),
+            &*self.rel,
+            Arc::new(OracleAdapter(self.dis.clone())),
+            self.lambda,
+            mode,
+            threads,
+            deadline,
+        )
     }
 }
 

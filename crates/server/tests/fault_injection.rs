@@ -5,12 +5,16 @@
 //! sequential oracle and the registry keeps serving afterward.
 
 use divr_core::distance::{Distance, NumericDistance};
-use divr_core::engine::{EngineRequest, ScoreSource, ServeError};
+use divr_core::engine::{DeltaOp, EngineRequest, ScoreSource, ServeError};
 use divr_core::problem::ObjectiveKind;
 use divr_core::relevance::AttributeRelevance;
 use divr_core::{ByteWriter, Deadline, Ratio};
-use divr_relquery::Tuple;
-use divr_server::{CheckedAnswer, Fingerprintable, Registry, TenantBatch, UniverseSpec};
+use divr_relquery::parser::parse_query;
+use divr_relquery::{Database, Tuple, Value};
+use divr_server::{
+    CheckedAnswer, Fingerprintable, QueryError, QueryFrontDoor, QuerySpec, Registry, TenantBatch,
+    UniverseSpec,
+};
 use std::sync::Arc;
 
 /// One request through the registry's serve entry point.
@@ -263,4 +267,204 @@ fn empty_batches_never_touch_the_cache() {
     assert!(results[1][0].is_ok());
     let stats = registry.stats();
     assert_eq!((stats.misses, stats.entries), (1, 1));
+}
+
+/// First attribute of the tuple a delta inserts into an otherwise
+/// healthy universe under [`PoisonedDistance`].
+const POISON: i64 = 999;
+
+const NUMERIC: NumericDistance = NumericDistance {
+    attr: 0,
+    fallback: Ratio::ZERO,
+};
+
+fn poisoned(t: &Tuple) -> bool {
+    t.get(0).and_then(Value::as_int) == Some(POISON)
+}
+
+/// Exact path finite everywhere; the float fast path is NaN for every
+/// pair that involves a [`POISON`] tuple. A universe without one
+/// prepares and serves normally; inserting one must trip validation.
+#[derive(Clone, Copy, Debug)]
+struct PoisonedDistance;
+
+impl Distance for PoisonedDistance {
+    fn dist(&self, a: &Tuple, b: &Tuple) -> Ratio {
+        NUMERIC.dist(a, b)
+    }
+
+    fn dist_f64(&self, a: &Tuple, b: &Tuple) -> f64 {
+        if a != b && (poisoned(a) || poisoned(b)) {
+            f64::NAN
+        } else {
+            NUMERIC.dist_f64(a, b)
+        }
+    }
+}
+
+impl Fingerprintable for PoisonedDistance {
+    fn fingerprint(&self, enc: &mut ByteWriter) {
+        enc.write_str("test:poisoned-distance");
+    }
+}
+
+fn base_rows() -> Vec<Tuple> {
+    (0..10).map(|i| Tuple::ints([i, i % 4])).collect()
+}
+
+fn poison_row() -> Tuple {
+    Tuple::ints([POISON, 1])
+}
+
+fn poisoned_spec(rows: Vec<Tuple>) -> UniverseSpec {
+    UniverseSpec::new(
+        rows,
+        Arc::new(AttributeRelevance {
+            attr: 1,
+            default: Ratio::ZERO,
+        }),
+        Arc::new(PoisonedDistance),
+        Ratio::new(1, 2),
+    )
+}
+
+fn one_per_objective() -> Vec<EngineRequest> {
+    ObjectiveKind::ALL
+        .into_iter()
+        .map(|kind| EngineRequest { kind, k: 3 })
+        .collect()
+}
+
+fn serve_all(registry: &Registry, spec: &UniverseSpec) -> Vec<CheckedAnswer> {
+    let batch = [TenantBatch {
+        spec: spec.clone(),
+        requests: one_per_objective(),
+    }];
+    registry
+        .serve_mixed_checked_deadline(&batch, Deadline::none())
+        .remove(0)
+}
+
+/// Warms a healthy universe by serving `warm`, inserts a tuple whose
+/// float distances are NaN through the delta path, and serves the
+/// mutated universe.
+fn delta_insert_poison(warm: ObjectiveKind) -> (Registry, UniverseSpec, Vec<CheckedAnswer>) {
+    let registry = Registry::default();
+    let spec = poisoned_spec(base_rows());
+    assert!(try_serve(&registry, &spec, EngineRequest { kind: warm, k: 3 }).is_ok());
+    let mutated = registry
+        .apply_delta(&spec, &DeltaOp::Insert(poison_row()))
+        .unwrap();
+    let answers = serve_all(&registry, &mutated);
+    (registry, mutated, answers)
+}
+
+/// What a cold prepare of the poisoned content answers: the typed
+/// refusal, for every request.
+fn cold_poisoned_answers() -> Vec<CheckedAnswer> {
+    let mut rows = base_rows();
+    rows.push(poison_row());
+    let cold = serve_all(&Registry::default(), &poisoned_spec(rows));
+    for answer in &cold {
+        assert!(
+            matches!(
+                answer,
+                Err(ServeError::NonFiniteScore {
+                    source: ScoreSource::Distance,
+                    ..
+                })
+            ),
+            "cold prepare must refuse, got {answer:?}"
+        );
+    }
+    cold
+}
+
+#[test]
+fn delta_insert_of_non_finite_tuple_into_warm_max_min_goes_cold() {
+    let (registry, mutated, answers) = delta_insert_poison(ObjectiveKind::MaxMin);
+    assert_eq!(answers, cold_poisoned_answers());
+    assert!(
+        !registry.is_cached(&mutated),
+        "a refused universe is never cached"
+    );
+}
+
+#[test]
+fn delta_insert_of_non_finite_tuple_into_warm_max_sum_goes_cold() {
+    let (registry, mutated, answers) = delta_insert_poison(ObjectiveKind::MaxSum);
+    assert_eq!(answers, cold_poisoned_answers());
+    assert!(
+        !registry.is_cached(&mutated),
+        "a refused universe is never cached"
+    );
+}
+
+fn front_door(rows: &[Tuple]) -> QueryFrontDoor {
+    let front = QueryFrontDoor::new(Arc::new(Registry::default()));
+    let mut db = Database::new();
+    db.create_relation("R", &["x", "y"]).unwrap();
+    for t in rows {
+        db.insert("R", t.values().to_vec()).unwrap();
+    }
+    front.register_database("main", db);
+    front
+}
+
+fn poisoned_query() -> QuerySpec {
+    QuerySpec::new(
+        parse_query("Q(x, y) :- R(x, y)").unwrap(),
+        Arc::new(AttributeRelevance {
+            attr: 1,
+            default: Ratio::ZERO,
+        }),
+        Arc::new(PoisonedDistance),
+        Ratio::new(1, 2),
+    )
+    .unwrap()
+}
+
+fn serve_query_all(front: &QueryFrontDoor) -> Result<Vec<CheckedAnswer>, QueryError> {
+    front.serve_query_deadline(
+        "main",
+        &poisoned_query(),
+        &one_per_objective(),
+        Deadline::none(),
+    )
+}
+
+#[test]
+fn base_insert_of_non_finite_tuple_into_warm_query_goes_cold() {
+    let spec = poisoned_query();
+    let front = front_door(&base_rows());
+    let warm = EngineRequest {
+        kind: ObjectiveKind::MaxMin,
+        k: 3,
+    };
+    let warmed = front
+        .serve_query_deadline("main", &spec, &[warm], Deadline::none())
+        .unwrap();
+    assert!(warmed[0].is_ok());
+    assert!(front
+        .insert_base_tuple("main", "R", poison_row().values().to_vec())
+        .unwrap());
+    assert!(
+        !front.is_warm("main", &spec).unwrap(),
+        "the entry goes cold"
+    );
+
+    let mut rows = base_rows();
+    rows.push(poison_row());
+    let cold = serve_query_all(&front_door(&rows));
+    assert!(
+        matches!(
+            cold,
+            Err(QueryError::Serve(ServeError::NonFiniteScore {
+                source: ScoreSource::Distance,
+                ..
+            }))
+        ),
+        "cold prepare must refuse, got {cold:?}"
+    );
+    assert_eq!(serve_query_all(&front), cold);
 }

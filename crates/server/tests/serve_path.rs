@@ -8,13 +8,18 @@
 //! already passed, for a `k` that can never be served. A warm hit is
 //! still served past the deadline, so the request must get its typed
 //! refusal (a non-retryable 422 on the wire), not a deadline error that
-//! tells a retrying client to try again.
+//! tells a retrying client to try again. A *cold* prepare past its
+//! deadline is abandoned in every prepare mode and cached nowhere.
 
+use divr_core::coreset::CORESET_AUTO_THRESHOLD;
 use divr_core::engine::{EngineRequest, ServeError};
+use divr_core::pipeline::{PrepareMode, PreparedVariant};
 use divr_core::prelude::*;
 use divr_relquery::parser::parse_query;
 use divr_relquery::{Database, Tuple, Value};
-use divr_server::{CoresetSpec, QueryFrontDoor, QuerySpec, Registry, TenantBatch, UniverseSpec};
+use divr_server::{
+    CoresetSpec, QueryError, QueryFrontDoor, QuerySpec, Registry, TenantBatch, UniverseSpec,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -97,10 +102,14 @@ fn registry_coreset_entry_reports_budget_past_deadline() {
 }
 
 fn front() -> QueryFrontDoor {
+    front_over(N)
+}
+
+fn front_over(n: i64) -> QueryFrontDoor {
     let front = QueryFrontDoor::new(Arc::new(Registry::default()));
     let mut db = Database::new();
     db.create_relation("R", &["x", "y"]).unwrap();
-    for i in 0..N {
+    for i in 0..n {
         db.insert("R", vec![Value::int(i), Value::int((i * 5) % 7)])
             .unwrap();
     }
@@ -156,4 +165,76 @@ fn front_door_coreset_entry_reports_budget_past_deadline() {
             n: N as usize,
         })
     );
+}
+
+#[test]
+fn prepare_past_deadline_is_refused_in_every_mode_and_never_cached() {
+    let config = CoresetSpec::with_budget(BUDGET).config(1);
+    let modes = [
+        ("full", PrepareMode::Full),
+        (
+            "coreset",
+            PrepareMode::Coreset {
+                config,
+                select_over: usize::MAX,
+            },
+        ),
+        (
+            "streamed",
+            PrepareMode::Coreset {
+                config,
+                select_over: BUDGET,
+            },
+        ),
+    ];
+    let universe = spec().universe().to_vec();
+    assert!(universe.len() > BUDGET, "the streamed mode must stream");
+    for (name, mode) in modes {
+        let built = PreparedVariant::build(
+            universe.clone(),
+            &*rel(),
+            dis(),
+            Ratio::new(1, 2),
+            mode,
+            1,
+            passed(),
+        );
+        assert_eq!(built.err(), Some(ServeError::DeadlineExceeded), "{name}");
+    }
+
+    // The registry: full and coreset specs, both cold.
+    let registry = Registry::default();
+    for spec in [
+        spec(),
+        spec().with_coreset(CoresetSpec::with_budget(BUDGET)),
+    ] {
+        let batch = [TenantBatch {
+            spec,
+            requests: vec![request(2)],
+        }];
+        let answers = registry.serve_mixed_checked_deadline(&batch, passed());
+        assert_eq!(answers[0][0], Err(ServeError::DeadlineExceeded));
+    }
+    assert_eq!(registry.stats().entries, 0);
+
+    // The front door: full, explicit-coreset and auto-escalated queries.
+    let large = front_over(CORESET_AUTO_THRESHOLD as i64 + 1);
+    let small = front();
+    let cases = [
+        (&small, query_spec()),
+        (
+            &small,
+            query_spec().with_coreset(CoresetSpec::with_budget(BUDGET)),
+        ),
+        (&large, query_spec()),
+    ];
+    for (front, spec) in cases {
+        assert_eq!(
+            front.serve_query_deadline("main", &spec, &[request(2)], passed()),
+            Err(QueryError::Serve(ServeError::DeadlineExceeded))
+        );
+        assert!(!front.is_warm("main", &spec).unwrap());
+    }
+    assert_eq!(small.registry().stats().entries, 0);
+    assert_eq!(large.registry().stats().entries, 0);
 }

@@ -123,13 +123,17 @@ fn instance_of(raw: &RawUniverse) -> Instance {
 
 fn full_engine(inst: &Instance) -> Engine<'static> {
     Engine::from_prepared(
-        Arc::new(divr::core::engine::PreparedUniverse::build_shared(
-            inst.universe.clone(),
-            &inst.rel,
-            Arc::new(inst.dis.clone()),
-            inst.lambda,
-            2,
-        )),
+        Arc::new(
+            PreparedUniverse::build(
+                inst.universe.clone(),
+                &inst.rel,
+                DistOracle::Shared(Arc::new(inst.dis.clone())),
+                inst.lambda,
+                2,
+                Deadline::none(),
+            )
+            .unwrap(),
+        ),
         2,
     )
 }
@@ -216,15 +220,18 @@ proptest! {
         let inst = instance_of(&raw);
         let budget = (4 * k).max(16);
         let base = base.min(raw.n);
-        let mut prepared = PreparedCoreset::build_shared(
+        let mut prepared = PreparedCoreset::build(
             inst.universe[..base].to_vec(),
             &inst.rel,
             Arc::new(inst.dis.clone()),
             inst.lambda,
             &CoresetConfig::with_budget(budget).with_threads(2),
-        );
+            usize::MAX,
+            Deadline::none(),
+        )
+        .unwrap();
         for t in &inst.universe[base..] {
-            prepared.insert_tuple(t.clone(), inst.rel.rel(t));
+            prepared.insert_tuple(t.clone(), inst.rel.rel(t)).unwrap();
         }
         let streamed = CoresetEngine::from_prepared(Arc::new(prepared), 2);
         let full = full_engine(&inst);

@@ -124,13 +124,15 @@ fn scores_of(raw: &RawChurn) -> Scores {
 }
 
 fn build(scores: &Scores, ids: &[usize]) -> PreparedUniverse<'static> {
-    PreparedUniverse::build_shared(
+    PreparedUniverse::build(
         ids.iter().map(|&i| scores.tuples[i].clone()).collect(),
         &scores.rel,
-        Arc::new(scores.dis.clone()),
+        DistOracle::Shared(Arc::new(scores.dis.clone())),
         scores.lambda,
         1,
+        Deadline::none(),
     )
+    .unwrap()
 }
 
 /// Serves every objective at every `k` in `ks` (warming all three
@@ -197,7 +199,9 @@ fn churn_case(raw: &RawChurn) -> Result<(), TestCaseError> {
             }
             let id = pool_next;
             pool_next += 1;
-            prepared.insert_tuple(scores.tuples[id].clone(), Ratio::int(raw.rels[id]));
+            prepared
+                .insert_tuple(scores.tuples[id].clone(), Ratio::int(raw.rels[id]))
+                .unwrap();
             cur.push(id);
         } else {
             if cur.len() <= 2 {

@@ -132,13 +132,15 @@ fn k_above_n_after_removals_is_a_typed_error_not_a_panic() {
         attr: 0,
         fallback: Ratio::ZERO,
     };
-    let mut prepared = PreparedUniverse::build_shared(
+    let mut prepared = PreparedUniverse::build(
         universe.clone(),
         &rel,
-        Arc::new(dis.clone()),
+        DistOracle::Shared(Arc::new(dis.clone())),
         Ratio::new(1, 2),
         1,
-    );
+        Deadline::none(),
+    )
+    .unwrap();
     prepared.remove_tuple(0).unwrap();
     prepared.remove_tuple(0).unwrap();
     let engine = Engine::from_prepared(Arc::new(prepared), 1);

@@ -186,13 +186,17 @@ fn heap_preamble_builds_at_most_once_under_concurrency() {
     let rel = AttributeRelevance { attr: 1, default: Ratio::ZERO };
     let dis: Arc<dyn divr::core::distance::Distance + Send + Sync> =
         Arc::new(NumericDistance { attr: 0, fallback: Ratio::ZERO });
-    let prepared = Arc::new(PreparedUniverse::build_shared(
-        universe,
-        &rel,
-        dis,
-        Ratio::new(1, 2),
-        2,
-    ));
+    let prepared = Arc::new(
+        PreparedUniverse::build(
+            universe,
+            &rel,
+            DistOracle::Shared(dis),
+            Ratio::new(1, 2),
+            2,
+            Deadline::none(),
+        )
+        .unwrap(),
+    );
     assert_eq!(
         prepared.ms_preamble_builds(),
         1,
